@@ -68,12 +68,29 @@ Schema BatchDimSchema() {
 
 std::string SkuName(size_t k) { return "sku-" + std::to_string(k); }
 
-/// Fills a ColumnTable in 64K-row groups (the sync pipeline's granularity)
-/// and verifies every `key_col` segment dictionary-encoded — the property
-/// the batch-vs-row bar is measured on. (ColumnTable holds a latch, so it
-/// is filled in place rather than returned.)
+/// Row-group size of the batch-vs-row tables (the sync pipeline's
+/// granularity).
+constexpr size_t kGroupRows = 64 * 1024;
+
+/// Distinct join keys of the batch-vs-row section. Every row group holds
+/// all of them, so the count is set by the group size, not the table size:
+/// kGroupRows / 8 stays under ChooseEncoding's per-group dictionary limit
+/// (NDV <= n/4) at any build size.
+constexpr size_t kBatchJoinKeys = kGroupRows / 8;
+
+/// Prints `msg` to stderr and aborts, flushing stdout first so the curves
+/// already printed survive the abort.
+[[noreturn]] void Fatal(const char* msg) {
+  std::fflush(stdout);
+  std::fprintf(stderr, "FATAL: %s\n", msg);
+  std::abort();
+}
+
+/// Fills a ColumnTable in kGroupRows-row groups and verifies every
+/// `key_col` segment dictionary-encoded — the property the batch-vs-row bar
+/// is measured on. (ColumnTable holds a latch, so it is filled in place
+/// rather than returned.)
 void FillColumnTable(ColumnTable* table, std::vector<Row> rows, int key_col) {
-  constexpr size_t kGroupRows = 64 * 1024;
   for (size_t lo = 0; lo < rows.size(); lo += kGroupRows) {
     const size_t hi = std::min(rows.size(), lo + kGroupRows);
     table->AppendBatch(
@@ -81,11 +98,8 @@ void FillColumnTable(ColumnTable* table, std::vector<Row> rows, int key_col) {
   }
   for (size_t g = 0; g < table->num_groups(); ++g) {
     if (table->group(g)->columns[key_col].encoding() !=
-        EncodingType::kDictionary) {
-      std::fprintf(stderr,
-                   "FATAL: batch-join key column not dictionary-encoded\n");
-      std::abort();
-    }
+        EncodingType::kDictionary)
+      Fatal("batch-join key column not dictionary-encoded");
   }
 }
 
@@ -165,9 +179,9 @@ Point RunPoint(const std::vector<Row>& probe, const std::vector<Row>& build,
     if (rep >= 0) p.sec += sw.ElapsedSeconds();
   }
   if (reference != nullptr && out != *reference) {
-    std::fprintf(stderr, "FATAL: parallel join result differs at %zu threads\n",
-                 threads);
-    std::abort();
+    const std::string msg = "parallel join result differs at " +
+                            std::to_string(threads) + " threads";
+    Fatal(msg.c_str());
   }
   p.sec /= reps;
   return p;
@@ -270,7 +284,7 @@ int main(int argc, char** argv) {
   {
     const size_t bj_build = smoke ? 64 * 1024 : 256 * 1024;
     const size_t bj_probe = 2 * bj_build;
-    const size_t bj_keys = bj_build / 8;  // NDV well under the dict threshold
+    const size_t bj_keys = kBatchJoinKeys;
     const int key_col = 1;
     std::vector<Row> dim_rows;
     dim_rows.reserve(bj_build);
@@ -297,11 +311,8 @@ int main(int argc, char** argv) {
     PrintRule(56);
     ProbeTiming row = RowProbe(fact, dim, key_col, reps);
     ProbeTiming batch = BatchProbe(fact, dim, key_col, reps);
-    if (batch.pairs != row.pairs) {
-      std::fprintf(stderr,
-                   "FATAL: batch join pairs differ from row join pairs\n");
-      std::abort();
-    }
+    if (batch.pairs != row.pairs)
+      Fatal("batch join pairs differ from row join pairs");
     double ratio = row.sec / batch.sec;
     if (smoke && ratio < 1.5) {
       std::printf("(batch/row %.2fx below the 1.5x bar — re-measuring)\n",

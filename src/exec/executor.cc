@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -409,47 +410,129 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
 
 namespace {
 
-/// Chained hash table over one radix partition of the build side. Chains
-/// preserve build-input order per hash, so probing emits matches exactly in
-/// nested-loop order — the property the serial/parallel byte-identity of
-/// the join rests on.
+/// Flat open-addressing index from a 64-bit hash to a uint32_t payload —
+/// the one hash table behind the join's partition tables and the
+/// aggregation's group tables. Power-of-two slot array, linear probing,
+/// load factor at most 1/2. The home slot is the top bits of a Fibonacci
+/// multiply, so hashes sharing their low bits (every row of one radix
+/// partition does) still spread over the whole array. Several slots may
+/// hold the same hash; callers tell their payloads apart through the
+/// `match` callback.
+class FlatIndex {
+ public:
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  /// The first payload stored under `hash`, or kNone.
+  uint32_t Find(uint64_t hash) const {
+    if (slots_.empty()) return kNone;
+    for (size_t s = Home(hash);; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.payload == kNone) return kNone;
+      if (slot.hash == hash) return slot.payload;
+    }
+  }
+
+  /// The first payload stored under `hash` that satisfies `match`; on a
+  /// miss stores make() under `hash` and returns it. make() must not return
+  /// kNone.
+  template <typename Match, typename Make>
+  uint32_t FindOrInsert(uint64_t hash, const Match& match, const Make& make) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    size_t s = Home(hash);
+    for (;; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.payload == kNone) break;
+      if (slot.hash == hash && match(slot.payload)) return slot.payload;
+    }
+    const uint32_t payload = make();
+    slots_[s] = Slot{hash, payload};
+    ++size_;
+    return payload;
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t payload = kNone;
+  };
+
+  size_t Home(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  /// Doubles the slot array (16 slots at first) and re-homes every entry.
+  void Grow() {
+    const size_t cap = slots_.empty() ? 16 : 2 * slots_.size();
+    std::vector<Slot> old(cap);
+    old.swap(slots_);
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+    for (const Slot& slot : old) {
+      if (slot.payload == kNone) continue;
+      size_t s = Home(slot.hash);
+      while (slots_[s].payload != kNone) s = (s + 1) & mask_;
+      slots_[s] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+/// Hash table over one radix partition of the build side: a FlatIndex from
+/// each distinct (masked) hash to the head of a chain of build rows. Chains
+/// hold build rows in insertion (= build input) order, so probing emits
+/// matches exactly in nested-loop order — the property the serial/parallel
+/// byte-identity of the join rests on.
 class JoinPartitionTable {
  public:
+  static constexpr uint32_t kNoChain = FlatIndex::kNone;
+
+  /// Sizes the row arrays for `rows` inserts. The index is left to grow
+  /// with the distinct hashes, so a build with few distinct keys keeps a
+  /// small, cache-resident index.
   void Reserve(size_t rows) {
-    slots_.reserve(rows);
     entries_.reserve(rows);
+    tails_.reserve(rows);
   }
 
   void Insert(uint64_t hash, uint32_t row) {
     const auto e = static_cast<uint32_t>(entries_.size());
-    entries_.push_back(Entry{row, kEnd});
-    auto [it, fresh] = slots_.try_emplace(hash, Chain{e, e});
-    if (!fresh) {
-      entries_[it->second.tail].next = e;
-      it->second.tail = e;
+    entries_.push_back(Entry{row, kNoChain});
+    tails_.push_back(e);
+    const uint32_t head = index_.FindOrInsert(
+        hash, [](uint32_t) { return true; }, [e] { return e; });
+    if (head != e) {
+      entries_[tails_[head]].next = e;
+      tails_[head] = e;
     }
+  }
+
+  /// The chain of build rows stored under `hash`, or kNoChain.
+  uint32_t Find(uint64_t hash) const { return index_.Find(hash); }
+
+  /// Calls fn(build row) along a chain from Find, in build input order.
+  template <typename Fn>
+  void ForEachInChain(uint32_t chain, const Fn& fn) const {
+    for (uint32_t e = chain; e != kNoChain; e = entries_[e].next)
+      fn(entries_[e].row);
   }
 
   template <typename Fn>
   void ForEachHashMatch(uint64_t hash, const Fn& fn) const {
-    const auto it = slots_.find(hash);
-    if (it == slots_.end()) return;
-    for (uint32_t e = it->second.head; e != kEnd; e = entries_[e].next)
-      fn(entries_[e].row);
+    ForEachInChain(Find(hash), fn);
   }
 
  private:
-  static constexpr uint32_t kEnd = 0xffffffffu;
-  struct Chain {
-    uint32_t head;
-    uint32_t tail;
-  };
   struct Entry {
     uint32_t row;
     uint32_t next;
   };
-  std::unordered_map<uint64_t, Chain> slots_;
-  std::vector<Entry> entries_;
+  FlatIndex index_;              // hash -> chain head (an entries_ index)
+  std::vector<Entry> entries_;   // one per build row, in insertion order
+  std::vector<uint32_t> tails_;  // at a chain head: that chain's last entry
 };
 
 Row ConcatRows(const Row& l, const Row& r) {
@@ -461,26 +544,31 @@ Row ConcatRows(const Row& l, const Row& r) {
 }
 
 /// Probes key slots [lo, hi) against the partition tables, emitting
-/// (probe, build) index pairs. Two passes: a hash-match pre-count sizes the
-/// output reservation (overcounting only on hash collisions between unequal
-/// keys), then the emit pass confirms key equality — typed, through
-/// JoinKeyEquals, no Value boxing.
+/// (probe, build) index pairs. One index lookup per probe row: the first
+/// pass finds each row's chain and counts the chain lengths, which sizes
+/// the output exactly (overcounting only on hash collisions between unequal
+/// keys); the emit pass walks the recorded chains and confirms key equality
+/// — typed, through JoinKeyEquals, no Value boxing.
 void ProbePairsRangeKeys(const JoinKeyColumn& probe, size_t lo, size_t hi,
                          const JoinKeyColumn& build,
                          const std::vector<JoinPartitionTable>& parts,
                          uint64_t part_mask, uint64_t hash_mask,
                          JoinPairs* out) {
+  std::vector<uint32_t> chains(hi - lo, JoinPartitionTable::kNoChain);
   size_t estimate = 0;
   for (size_t i = lo; i < hi; ++i) {
     if (!probe.valid[i]) continue;
     const uint64_t h = probe.hashes[i] & hash_mask;
-    parts[h & part_mask].ForEachHashMatch(h, [&](uint32_t) { ++estimate; });
+    const JoinPartitionTable& part = parts[h & part_mask];
+    chains[i - lo] = part.Find(h);
+    part.ForEachInChain(chains[i - lo], [&](uint32_t) { ++estimate; });
   }
   out->reserve(out->size() + estimate);
   for (size_t i = lo; i < hi; ++i) {
-    if (!probe.valid[i]) continue;
+    const uint32_t chain = chains[i - lo];
+    if (chain == JoinPartitionTable::kNoChain) continue;
     const uint64_t h = probe.hashes[i] & hash_mask;
-    parts[h & part_mask].ForEachHashMatch(h, [&](uint32_t r) {
+    parts[h & part_mask].ForEachInChain(chain, [&](uint32_t r) {
       if (!JoinKeyEquals(probe, i, build, r)) return;  // hash collision
       out->emplace_back(static_cast<uint32_t>(i), r);
     });
@@ -1461,32 +1549,6 @@ std::vector<Row> HashJoin(const std::vector<Row>& left,
 
 namespace {
 
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  Value min, max;
-  bool any = false;
-
-  void Update(const Value& v) {
-    ++count;
-    if (v.is_null()) return;
-    if (v.is_int64() || v.is_double()) sum += v.AsDouble();
-    if (!any || v < min) min = v;
-    if (!any || max < v) max = v;
-    any = true;
-  }
-
-  void Merge(const AggState& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.any) {
-      if (!any || o.min < min) min = o.min;
-      if (!any || max < o.max) max = o.max;
-      any = true;
-    }
-  }
-};
-
 /// Hash of one batch cell, equal to cv.GetValue(i).Hash() without boxing —
 /// Value::Hash delegates to the same typed primitives.
 uint64_t HashCell(const ColumnVector& cv, size_t i) {
@@ -1518,92 +1580,149 @@ bool CellEqualsValue(const ColumnVector& cv, size_t i, const Value& key) {
   return false;
 }
 
+/// Equal to cv.GetValue(i).Compare(v) for a non-NULL cell and a non-NULL
+/// value, without boxing the cell.
+int CompareCellToValue(const ColumnVector& cv, size_t i, const Value& v) {
+  const auto three_way = [](auto a, auto b) { return a < b ? -1 : (a > b); };
+  switch (cv.type()) {
+    case Type::kInt64:
+      if (v.is_string()) return -1;  // numbers sort before strings
+      if (v.is_int64()) return three_way(cv.GetInt64(i), v.AsInt64());
+      return three_way(static_cast<double>(cv.GetInt64(i)), v.AsDouble());
+    case Type::kDouble:
+      if (v.is_string()) return -1;
+      return three_way(cv.GetDouble(i), v.AsDouble());
+    case Type::kString: {
+      if (!v.is_string()) return 1;
+      const int c = cv.GetString(i).compare(v.AsString());
+      return c < 0 ? -1 : (c > 0);
+    }
+  }
+  return 0;
+}
+
+/// One aggregate's running state in one group. COUNT uses `count`; SUM uses
+/// `sum` and `any`; AVG all three. `count` counts every absorbed row, NULL
+/// cells included. MIN/MAX keep their extreme in GroupTable::extremes_.
+struct AggState {
+  int64_t count = 0;
+  double sum = 0;
+  bool any = false;  // a non-NULL cell was absorbed
+
+  void Merge(const AggState& o) {
+    count += o.count;
+    sum += o.sum;
+    any = any || o.any;
+  }
+};
+
 /// A (possibly partial) group-by hash table. Serial aggregation absorbs
 /// every row into one table; parallel aggregation gives each worker its own
 /// table over a disjoint row range and merges them single-threaded.
+///
+/// Groups live in contiguous arrays indexed by group number, in first-seen
+/// order; a FlatIndex maps each group's key hash to its number, and
+/// candidates under one hash are confirmed by comparing the key values.
+/// Aggregate state is typed: COUNT, SUM and AVG fold int64/double cells
+/// straight from the batch vectors, and only MIN/MAX specs keep a boxed
+/// extreme. Every sum accumulates in input order, then partial tables in
+/// worker order, so the serial row and batch paths finalize bit-identically.
 class GroupTable {
  public:
   GroupTable(const std::vector<int>& group_cols,
              const std::vector<AggSpec>& aggs)
-      : group_cols_(group_cols), aggs_(aggs) {}
-
-  void Absorb(const Row& row) {
-    uint64_t h = 1469598103934665603ULL;
-    for (int c : group_cols_)
-      h = h * 1099511628211ULL ^ row.Get(static_cast<size_t>(c)).Hash();
-    GroupData* gd = FindOrCreate(h, [&](const Row& key_row) {
-      for (size_t i = 0; i < group_cols_.size(); ++i)
-        if (row.Get(static_cast<size_t>(group_cols_[i])) != key_row.Get(i))
-          return false;
-      return true;
-    }, [&] {
-      Row key_row;
-      for (int c : group_cols_)
-        key_row.Append(row.Get(static_cast<size_t>(c)));
-      return key_row;
-    });
+      : group_cols_(group_cols), aggs_(aggs), extreme_slot_(aggs.size(), -1) {
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].column < 0)
-        gd->states[a].Update(Value(static_cast<int64_t>(1)));
-      else
-        gd->states[a].Update(row.Get(static_cast<size_t>(aggs_[a].column)));
+      if (aggs_[a].fn == AggSpec::Fn::kMin || aggs_[a].fn == AggSpec::Fn::kMax)
+        extreme_slot_[a] = static_cast<int>(num_extremes_++);
     }
   }
 
-  /// Absorbs every active position of a batch. Group keys hash and compare
-  /// through the typed cell helpers (no Value boxing on the hot path); a
-  /// key row is boxed only when a new group materializes. State updates are
-  /// bit-exact mirrors of Absorb on the row image, so a batch table and a
-  /// row table over the same input finalize identically.
-  void AbsorbBatch(const ColumnBatch& batch) {
-    batch.ForEachActive([&](size_t i) {
-      uint64_t h = 1469598103934665603ULL;
-      for (int c : group_cols_)
-        h = h * 1099511628211ULL ^
-            HashCell(batch.columns[static_cast<size_t>(c)], i);
-      GroupData* gd = FindOrCreate(h, [&](const Row& key_row) {
-        for (size_t k = 0; k < group_cols_.size(); ++k)
-          if (!CellEqualsValue(
-                  batch.columns[static_cast<size_t>(group_cols_[k])], i,
-                  key_row.Get(k)))
-            return false;
-        return true;
-      }, [&] {
-        Row key_row;
-        for (int c : group_cols_)
-          key_row.Append(batch.columns[static_cast<size_t>(c)].GetValue(i));
-        return key_row;
-      });
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].column < 0)
-          gd->states[a].Update(Value(static_cast<int64_t>(1)));
-        else
-          gd->states[a].Update(
-              batch.columns[static_cast<size_t>(aggs_[a].column)].GetValue(i));
-      }
-    });
+  void Absorb(const Row& row) {
+    uint64_t h = kGroupHashSeed;
+    for (int c : group_cols_)
+      h = h * kGroupHashPrime ^ row.Get(static_cast<size_t>(c)).Hash();
+    const uint32_t g = FindOrCreate(
+        h,
+        [&](const Value* key) {
+          for (size_t k = 0; k < group_cols_.size(); ++k)
+            if (row.Get(static_cast<size_t>(group_cols_[k])) != key[k])
+              return false;
+          return true;
+        },
+        [&] {
+          for (int c : group_cols_)
+            keys_.push_back(row.Get(static_cast<size_t>(c)));
+        });
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      const int col = aggs_[a].column;
+      if (col < 0)
+        Update(g, a, Value(int64_t{1}));  // COUNT(*)'s per-row input
+      else
+        Update(g, a, row.Get(static_cast<size_t>(col)));
+    }
   }
 
-  /// Merges another partial table into this one. Key rows hash identically
-  /// in both tables (same FNV over the same group values), so the source
-  /// bucket hash is reused directly.
+  /// Absorbs every active position of a batch: one pass assigns each
+  /// position its group (keys hash and compare through the typed cell
+  /// helpers; a key is boxed only when a new group materializes), then one
+  /// typed pass per aggregate folds its column into the groups' states.
+  void AbsorbBatch(const ColumnBatch& batch) {
+    gids_.clear();
+    gids_.reserve(batch.active());
+    batch.ForEachActive([&](size_t i) {
+      uint64_t h = kGroupHashSeed;
+      for (int c : group_cols_)
+        h = h * kGroupHashPrime ^
+            HashCell(batch.columns[static_cast<size_t>(c)], i);
+      gids_.push_back(FindOrCreate(
+          h,
+          [&](const Value* key) {
+            for (size_t k = 0; k < group_cols_.size(); ++k)
+              if (!CellEqualsValue(
+                      batch.columns[static_cast<size_t>(group_cols_[k])], i,
+                      key[k]))
+                return false;
+            return true;
+          },
+          [&] {
+            for (int c : group_cols_)
+              keys_.push_back(
+                  batch.columns[static_cast<size_t>(c)].GetValue(i));
+          }));
+    });
+    for (size_t a = 0; a < aggs_.size(); ++a) AbsorbColumn(batch, a);
+  }
+
+  /// Merges another partial table into this one, its groups in its
+  /// first-seen order. Keys hash identically in both tables (same FNV over
+  /// the same group values), so the source hash is reused directly.
   void MergeFrom(GroupTable&& other) {
-    for (auto& [h, bucket] : other.groups_) {
-      for (auto& theirs : bucket) {
-        GroupData* mine = FindOrCreate(h, [&](const Row& key_row) {
-          for (size_t i = 0; i < group_cols_.size(); ++i)
-            if (theirs.key_row.Get(i) != key_row.Get(i)) return false;
-          return true;
-        }, [&] { return std::move(theirs.key_row); });
-        for (size_t a = 0; a < aggs_.size(); ++a)
-          mine->states[a].Merge(theirs.states[a]);
+    const size_t ncols = group_cols_.size();
+    for (uint32_t og = 0; og < other.num_groups_; ++og) {
+      Value* theirs = other.keys_.data() + og * ncols;
+      const uint32_t g = FindOrCreate(
+          other.hashes_[og],
+          [&](const Value* key) {
+            for (size_t k = 0; k < ncols; ++k)
+              if (theirs[k] != key[k]) return false;
+            return true;
+          },
+          [&] {
+            for (size_t k = 0; k < ncols; ++k)
+              keys_.push_back(std::move(theirs[k]));
+          });
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        State(g, a).Merge(other.State(og, a));
+        if (extreme_slot_[a] >= 0 && !other.Extreme(og, a).is_null())
+          FoldExtreme(g, a, other.Extreme(og, a));
       }
     }
   }
 
   std::vector<Row> Finalize() {
     std::vector<Row> out;
-    if (groups_.empty() && group_cols_.empty()) {
+    if (num_groups_ == 0 && group_cols_.empty()) {
       // Global aggregate over zero rows: COUNT=0, others NULL.
       Row r;
       for (const auto& agg : aggs_)
@@ -1613,56 +1732,159 @@ class GroupTable {
       out.push_back(std::move(r));
       return out;
     }
-    for (auto& [h, bucket] : groups_) {
-      for (auto& gd : bucket) {
-        Row r = gd.key_row;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          const AggState& s = gd.states[a];
-          switch (aggs_[a].fn) {
-            case AggSpec::Fn::kCount: r.Append(Value(s.count)); break;
-            case AggSpec::Fn::kSum:
-              r.Append(s.any ? Value(s.sum) : Value::Null());
-              break;
-            case AggSpec::Fn::kMin:
-              r.Append(s.any ? s.min : Value::Null());
-              break;
-            case AggSpec::Fn::kMax:
-              r.Append(s.any ? s.max : Value::Null());
-              break;
-            case AggSpec::Fn::kAvg:
-              r.Append(s.any ? Value(s.sum / static_cast<double>(s.count))
-                             : Value::Null());
-              break;
-          }
+    const size_t ncols = group_cols_.size();
+    out.reserve(num_groups_);
+    for (uint32_t g = 0; g < num_groups_; ++g) {
+      std::vector<Value> vals;
+      vals.reserve(ncols + aggs_.size());
+      for (size_t k = 0; k < ncols; ++k)
+        vals.push_back(std::move(keys_[g * ncols + k]));
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        const AggState& s = State(g, a);
+        switch (aggs_[a].fn) {
+          case AggSpec::Fn::kCount: vals.emplace_back(s.count); break;
+          case AggSpec::Fn::kSum:
+            vals.push_back(s.any ? Value(s.sum) : Value::Null());
+            break;
+          case AggSpec::Fn::kMin:
+          case AggSpec::Fn::kMax:
+            vals.push_back(std::move(Extreme(g, a)));
+            break;
+          case AggSpec::Fn::kAvg:
+            vals.push_back(s.any ? Value(s.sum / static_cast<double>(s.count))
+                                 : Value::Null());
+            break;
         }
-        out.push_back(std::move(r));
       }
+      out.emplace_back(std::move(vals));
     }
     return out;
   }
 
  private:
-  struct GroupData {
-    Row key_row;
-    std::vector<AggState> states;
-  };
+  static constexpr uint64_t kGroupHashSeed = 1469598103934665603ULL;
+  static constexpr uint64_t kGroupHashPrime = 1099511628211ULL;
 
+  /// The group whose key values (keys_.data() + g * ncols) satisfy
+  /// `matches`, created when absent: make_key() then appends the new
+  /// group's key values to keys_.
   template <typename MatchFn, typename MakeKeyFn>
-  GroupData* FindOrCreate(uint64_t h, const MatchFn& matches,
-                          const MakeKeyFn& make_key) {
-    auto& bucket = groups_[h];
-    for (auto& cand : bucket)
-      if (matches(cand.key_row)) return &cand;
-    GroupData fresh;
-    fresh.key_row = make_key();
-    fresh.states.resize(aggs_.size());
-    bucket.push_back(std::move(fresh));
-    return &bucket.back();
+  uint32_t FindOrCreate(uint64_t h, const MatchFn& matches,
+                        const MakeKeyFn& make_key) {
+    const size_t ncols = group_cols_.size();
+    return index_.FindOrInsert(
+        h, [&](uint32_t g) { return matches(keys_.data() + g * ncols); },
+        [&] {
+          const auto g = static_cast<uint32_t>(num_groups_++);
+          make_key();
+          hashes_.push_back(h);
+          states_.resize(states_.size() + aggs_.size());
+          extremes_.resize(extremes_.size() + num_extremes_);
+          return g;
+        });
+  }
+
+  AggState& State(uint32_t g, size_t a) { return states_[g * aggs_.size() + a]; }
+  Value& Extreme(uint32_t g, size_t a) {
+    return extremes_[g * num_extremes_ + static_cast<size_t>(extreme_slot_[a])];
+  }
+
+  /// Replaces group g's extreme for MIN/MAX spec a when `v` beats it.
+  void FoldExtreme(uint32_t g, size_t a, const Value& v) {
+    Value& e = Extreme(g, a);
+    const bool is_min = aggs_[a].fn == AggSpec::Fn::kMin;
+    if (e.is_null() || (is_min ? v < e : e < v)) e = v;
+  }
+
+  /// Row-path update of aggregate a in group g with one input value.
+  void Update(uint32_t g, size_t a, const Value& v) {
+    AggState& s = State(g, a);
+    switch (aggs_[a].fn) {
+      case AggSpec::Fn::kCount: ++s.count; return;
+      case AggSpec::Fn::kSum:
+      case AggSpec::Fn::kAvg:
+        ++s.count;
+        if (v.is_null()) return;
+        s.any = true;
+        if (v.is_int64() || v.is_double()) s.sum += v.AsDouble();
+        return;
+      case AggSpec::Fn::kMin:
+      case AggSpec::Fn::kMax:
+        if (!v.is_null()) FoldExtreme(g, a, v);
+        return;
+    }
+  }
+
+  /// Batch-path update of aggregate a over the batch's active positions,
+  /// whose groups are gids_ (in the same order). Typed per column type.
+  void AbsorbColumn(const ColumnBatch& batch, size_t a) {
+    const AggSpec& spec = aggs_[a];
+    const size_t naggs = aggs_.size();
+    AggState* states = states_.data() + a;
+    size_t k = 0;
+    if (spec.fn == AggSpec::Fn::kCount) {
+      for (uint32_t g : gids_) ++states[g * naggs].count;
+      return;
+    }
+    if (spec.column < 0) {
+      const Value one(int64_t{1});
+      batch.ForEachActive([&](size_t) { Update(gids_[k++], a, one); });
+      return;
+    }
+    const ColumnVector& cv = batch.columns[static_cast<size_t>(spec.column)];
+    if (spec.fn == AggSpec::Fn::kMin || spec.fn == AggSpec::Fn::kMax) {
+      const bool is_min = spec.fn == AggSpec::Fn::kMin;
+      batch.ForEachActive([&](size_t i) {
+        const uint32_t g = gids_[k++];
+        if (cv.IsNull(i)) return;
+        Value& e = Extreme(g, a);
+        if (e.is_null()) {
+          e = cv.GetValue(i);
+          return;
+        }
+        const int c = CompareCellToValue(cv, i, e);
+        if (is_min ? c < 0 : c > 0) e = cv.GetValue(i);
+      });
+      return;
+    }
+    // SUM / AVG.
+    const auto fold = [&](const auto& cell) {
+      batch.ForEachActive([&](size_t i) {
+        AggState& s = states[gids_[k++] * naggs];
+        ++s.count;
+        if (cv.IsNull(i)) return;
+        s.any = true;
+        s.sum += cell(i);
+      });
+    };
+    switch (cv.type()) {
+      case Type::kInt64: {
+        const std::vector<int64_t>& v = cv.ints();
+        fold([&](size_t i) { return static_cast<double>(v[i]); });
+        break;
+      }
+      case Type::kDouble: {
+        const std::vector<double>& v = cv.doubles();
+        fold([&](size_t i) { return v[i]; });
+        break;
+      }
+      case Type::kString:
+        fold([](size_t) { return 0.0; });  // strings mark `any`, add nothing
+        break;
+    }
   }
 
   const std::vector<int>& group_cols_;
   const std::vector<AggSpec>& aggs_;
-  std::unordered_map<uint64_t, std::vector<GroupData>> groups_;
+  std::vector<int> extreme_slot_;  // per spec: index among MIN/MAX, or -1
+  size_t num_extremes_ = 0;
+  size_t num_groups_ = 0;
+  FlatIndex index_;                // key hash -> group number
+  std::vector<uint64_t> hashes_;   // per group
+  std::vector<Value> keys_;        // group g's key at [g*ncols, (g+1)*ncols)
+  std::vector<AggState> states_;   // group g's states at [g*naggs, ...)
+  std::vector<Value> extremes_;    // group g's MIN/MAX extremes
+  std::vector<uint32_t> gids_;     // AbsorbBatch scratch: group per position
 };
 
 /// Below this input size the fan-out overhead beats the win.

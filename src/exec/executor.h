@@ -11,7 +11,7 @@
 //   ScanRowStore / ScanHtap    serial + morsel-driven scans ....... DESIGN §7
 //   HashAggregate              serial + partial-table parallel .... DESIGN §7
 //   HashJoinPairs / HashJoin   hash equi-join; three regimes ...... DESIGN §§8–9
-//     - serial: one chained table (small builds)
+//     - serial: one flat partition table (small builds)
 //     - radix-partitioned parallel: scatter/build/probe morsels
 //     - grace (out-of-core): oversized partitions spill both sides' join
 //       keys as columnar (index, key) pages to temporary on-disk runs
@@ -306,7 +306,11 @@ std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches);
 
 /// Hash aggregation. With empty `group_cols`, emits one global row. Output
-/// row layout: group values then one value per AggSpec.
+/// row layout: group values then one value per AggSpec. NULL group keys
+/// form one group. COUNT counts every row of its group (NULL cells
+/// included); AVG divides the sum of the non-NULL numeric cells by that
+/// count. Group output order is unspecified (the table emits groups in
+/// first-seen order; consumers that need an order sort).
 std::vector<Row> HashAggregate(const std::vector<Row>& rows,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs);

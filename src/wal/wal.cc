@@ -13,6 +13,22 @@ uint32_t WalChecksum(const char* data, size_t n) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
+namespace {
+
+/// Appends the whole file at `path` to `out`; false when it cannot be
+/// opened.
+bool ReadWholeFile(const std::string& path, std::string* out) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  std::fclose(f);
+  return true;
+}
+
+}  // namespace
+
 void WalRecord::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(type));
   Value(static_cast<int64_t>(txn_id)).EncodeTo(out);
@@ -69,11 +85,12 @@ uint64_t WalWriter::Append(const WalRecord& rec) {
 Status WalWriter::Sync() {
   MutexLock lk(&mu_);
   if (buffer_.empty()) return Status::OK();
-  memory_log_.append(buffer_);
   if (file_) {
     const size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
     if (n != buffer_.size()) return Status::IOError("wal short write");
     if (options_.sync_on_commit) std::fflush(file_);
+  } else {
+    memory_log_.append(buffer_);
   }
   flushed_lsn_ = tail_lsn_;
   buffer_.clear();
@@ -88,7 +105,12 @@ uint64_t WalWriter::TailLsn() const {
 
 std::string WalWriter::ContentsForTest() const {
   MutexLock lk(&mu_);
-  return memory_log_ + buffer_;
+  if (!file_) return memory_log_ + buffer_;
+  // File backend: the flushed groups are read back from the file.
+  std::fflush(file_);
+  std::string contents;
+  ReadWholeFile(options_.path, &contents);
+  return contents + buffer_;
 }
 
 std::vector<WalRecord> WalReader::Parse(const std::string& contents) {
@@ -112,13 +134,9 @@ std::vector<WalRecord> WalReader::Parse(const std::string& contents) {
 }
 
 Result<std::vector<WalRecord>> WalReader::ReadFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Status::IOError("cannot open wal file: " + path);
   std::string contents;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
+  if (!ReadWholeFile(path, &contents))
+    return Status::IOError("cannot open wal file: " + path);
   return Parse(contents);
 }
 

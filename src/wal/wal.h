@@ -79,15 +79,16 @@ class WalWriter {
     return sync_count_;
   }
 
-  /// Copy of the full log contents (in-memory backend or test use).
+  /// Copy of the full log contents: the flushed groups (read back from the
+  /// file when one backs the log) plus the unflushed buffer.
   std::string ContentsForTest() const;
 
  private:
   const Options options_;
   mutable Mutex mu_{LockRank::kWal, "wal-writer"};
   std::string buffer_ GUARDED_BY(mu_);      // unflushed group
-  std::string memory_log_ GUARDED_BY(mu_);  // in-memory backend (always kept;
-                                            // cheap + used by replication)
+  std::string memory_log_ GUARDED_BY(mu_);  // flushed groups; in-memory
+                                            // backend only (no file_)
   uint64_t tail_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t flushed_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t sync_count_ GUARDED_BY(mu_) = 0;

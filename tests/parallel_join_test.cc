@@ -2,13 +2,15 @@
 // byte-identical to the serial join — which itself equals a nested-loop
 // reference — across thread counts and key pathologies (duplicate keys,
 // null keys, cross-type numeric keys, forced hash collisions, empty build
-// side), and must stay correct while writers churn the scanned tables.
+// side, partition tables grown through thousands of distinct keys), and
+// must stay correct while writers churn the scanned tables.
 // Runs under ThreadSanitizer via ./ci.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "core/database.h"
@@ -122,6 +124,55 @@ TEST_F(ParallelJoinTest, ForcedHashCollisionsStillConfirmKeys) {
     for (size_t threads : {size_t{2}, size_t{4}}) {
       EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, Par(threads, mask)))
           << threads << " threads, mask " << mask;
+    }
+  }
+}
+
+TEST_F(ParallelJoinTest, GrowingPartitionTablesKeepNestedLoopPairOrder) {
+  // Thousands of distinct keys force every partition table's index through
+  // several grows (it starts at 16 slots and doubles at half load), with
+  // duplicate build keys making multi-row chains and NULLs on both sides.
+  // The narrow masks collide unequal keys onto one hash; 0xFFF0 also zeroes
+  // the radix bits, so one partition table holds the whole build side.
+  std::vector<Row> probe, build;
+  for (int64_t i = 0; i < 12000; ++i) {
+    Row r{Value(i), Value((i * 13) % 9000)};
+    if (i % 37 == 0) r.Set(1, Value::Null());
+    probe.push_back(std::move(r));
+  }
+  for (int64_t i = 0; i < 20000; ++i) {
+    Row r{Value(i % 7001), Value(i)};
+    if (i % 53 == 0) r.Set(0, Value::Null());
+    build.push_back(std::move(r));
+  }
+  // Plain-loop reference: each key's build rows in build order, then the
+  // probe rows in order — nested-loop pair order by construction.
+  std::map<int64_t, std::vector<uint32_t>> rows_of_key;
+  for (size_t j = 0; j < build.size(); ++j)
+    if (!build[j].Get(0).is_null())
+      rows_of_key[build[j].Get(0).AsInt64()].push_back(
+          static_cast<uint32_t>(j));
+  JoinPairs reference;
+  for (size_t i = 0; i < probe.size(); ++i) {
+    if (probe[i].Get(1).is_null()) continue;
+    const auto it = rows_of_key.find(probe[i].Get(1).AsInt64());
+    if (it == rows_of_key.end()) continue;
+    for (uint32_t j : it->second)
+      reference.emplace_back(static_cast<uint32_t>(i), j);
+  }
+  ASSERT_GT(reference.size(), probe.size());
+
+  for (uint64_t mask : {~uint64_t{0}, uint64_t{0xFFF0}, uint64_t{0x3F}}) {
+    ExecContext serial;
+    serial.join_hash_mask = mask;
+    EXPECT_EQ(reference, HashJoinPairs(probe, build, 1, 0, serial))
+        << "serial, mask " << mask;
+    for (size_t threads : {size_t{2}, size_t{4}}) {
+      JoinStats stats;
+      EXPECT_EQ(reference,
+                HashJoinPairs(probe, build, 1, 0, Par(threads, mask), &stats))
+          << threads << " threads, mask " << mask;
+      EXPECT_GT(stats.partitions, 1u);
     }
   }
 }

@@ -3,11 +3,14 @@
 // encoding, gather must materialize selections losslessly, and the batch
 // pipeline (ScanHtapBatches -> FilterBatch / batch HashAggregate / extracted
 // join keys) must be byte-identical to the row-at-a-time operators — serial
-// and parallel — plus the compression advisor's size-based encoding picks.
+// and parallel — hash aggregation must match a plain-loop reference, plus
+// the compression advisor's size-based encoding picks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -354,6 +357,156 @@ TEST_F(VectorizedScanTest, BatchAggregateMatchesRowAggregate) {
                                    {AggSpec::Count("n")}, Serial());
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
+}
+
+/// Exact image of a row: type tag plus value, doubles in hex-float, so
+/// comparisons catch type changes and last-bit differences that Value's
+/// cross-type numeric equality would forgive.
+std::string ExactImage(const Row& r) {
+  std::string out;
+  char buf[64];
+  for (const Value& v : r.values()) {
+    if (v.is_null()) {
+      out += "null|";
+    } else if (v.is_int64()) {
+      out += "i:" + std::to_string(v.AsInt64()) + "|";
+    } else if (v.is_double()) {
+      std::snprintf(buf, sizeof(buf), "d:%a|", v.AsDouble());
+      out += buf;
+    } else {
+      out += "s:" + v.AsString() + "|";
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> SortedImages(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(ExactImage(r));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Plain-loop reference for HashAggregate, independent of its hashing:
+/// groups keyed in a std::map by Value ordering (NULL keys form one group).
+/// It mirrors the engine's present aggregate semantics: COUNT counts every
+/// row of the group, NULL cells included, and AVG divides the sum of the
+/// non-NULL numeric cells by that count.
+std::vector<Row> ReferenceAggregate(const std::vector<Row>& rows,
+                                    const std::vector<int>& group_cols,
+                                    const std::vector<AggSpec>& aggs) {
+  struct Acc {
+    int64_t count = 0;
+    double sum = 0;
+    bool any = false;
+    Value min, max;
+  };
+  std::map<std::vector<Value>, std::vector<Acc>> groups;
+  for (const Row& r : rows) {
+    std::vector<Value> key;
+    for (int c : group_cols) key.push_back(r.Get(static_cast<size_t>(c)));
+    auto& accs = groups[key];
+    accs.resize(aggs.size());
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      Acc& acc = accs[a];
+      ++acc.count;
+      if (aggs[a].column < 0) continue;
+      const Value& v = r.Get(static_cast<size_t>(aggs[a].column));
+      if (v.is_null()) continue;
+      if (!v.is_string()) acc.sum += v.AsDouble();
+      if (!acc.any || v < acc.min) acc.min = v;
+      if (!acc.any || acc.max < v) acc.max = v;
+      acc.any = true;
+    }
+  }
+  if (groups.empty() && group_cols.empty())
+    groups[{}] = std::vector<Acc>(aggs.size());
+  std::vector<Row> out;
+  for (const auto& [key, accs] : groups) {
+    Row row(key);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Acc& acc = accs[a];
+      switch (aggs[a].fn) {
+        case AggSpec::Fn::kCount: row.Append(Value(acc.count)); break;
+        case AggSpec::Fn::kSum:
+          row.Append(acc.any ? Value(acc.sum) : Value::Null());
+          break;
+        case AggSpec::Fn::kMin: row.Append(acc.any ? acc.min : Value()); break;
+        case AggSpec::Fn::kMax: row.Append(acc.any ? acc.max : Value()); break;
+        case AggSpec::Fn::kAvg:
+          row.Append(acc.any ? Value(acc.sum / static_cast<double>(acc.count))
+                             : Value::Null());
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(GroupTableTest, ManyGroupsNullsAndTypedStateMatchPlainLoopReference) {
+  // 132k rows over 66,001 int64 group keys, each key in two rows far apart
+  // (more than 65,536 groups, so the flat index grows many times, and every
+  // group spans two parallel partial tables that must merge), NULL cells in
+  // every column, string, int64 and double MIN/MAX, and int64/double
+  // COUNT/SUM/AVG. Doubles are multiples of 0.25 with small magnitudes, so
+  // every sum is exact in any order and the merge of the parallel tables
+  // must reproduce the reference bit for bit.
+  const Schema schema({{"g", Type::kInt64},
+                       {"s", Type::kString},
+                       {"i", Type::kInt64},
+                       {"d", Type::kDouble}});
+  constexpr int64_t kGroups = 66001;
+  std::vector<Row> rows;
+  for (int64_t n = 0; n < 2 * kGroups; ++n) {
+    Row r{Value(n % kGroups), Value(std::to_string(1000 + (n * 7) % 1000)),
+          Value((n * 31) % 1000 - 500),
+          Value(static_cast<double>((n * 17) % 4096) * 0.25 - 300.0)};
+    if (n % 97 == 0) r.Set(0, Value::Null());
+    if (n % 89 == 0) r.Set(1, Value::Null());
+    if (n % 11 == 0) r.Set(2, Value::Null());
+    if (n % 13 == 0) r.Set(3, Value::Null());
+    rows.push_back(std::move(r));
+  }
+  // Multi-column and string-key groupings run on a 20k-row prefix, which
+  // keeps the reference cheap under the sanitizers.
+  const std::vector<Row> prefix(rows.begin(), rows.begin() + 20000);
+  const std::vector<AggSpec> aggs = {
+      AggSpec::Count("n"),  AggSpec{AggSpec::Fn::kCount, 2, "n_i"},
+      AggSpec::Sum(2, "si"), AggSpec::Sum(3, "sd"),
+      AggSpec::Avg(2, "ai"), AggSpec::Avg(3, "ad"),
+      AggSpec::Min(1, "mns"), AggSpec::Max(1, "mxs"),
+      AggSpec::Min(3, "mnd"), AggSpec::Max(3, "mxd"),
+      AggSpec::Min(2, "mni"), AggSpec::Max(2, "mxi")};
+  ThreadPool pool(4, "agg-ap");
+  ExecContext par;
+  par.pool = &pool;
+  par.max_parallelism = 4;
+  const std::pair<const std::vector<Row>*, std::vector<int>> cases[] = {
+      {&rows, {0}}, {&rows, {}}, {&prefix, {1}}, {&prefix, {1, 0}}};
+  for (const auto& [input, groups] : cases) {
+    SCOPED_TRACE("rows " + std::to_string(input->size()) + ", group columns " +
+                 std::to_string(groups.size()));
+    const auto batches = RowsToBatches(*input, schema, {}, 4096);
+    const auto expect = SortedImages(ReferenceAggregate(*input, groups, aggs));
+    EXPECT_EQ(SortedImages(HashAggregate(*input, groups, aggs)), expect);
+    EXPECT_EQ(SortedImages(HashAggregate(*input, groups, aggs, par)), expect);
+    EXPECT_EQ(SortedImages(HashAggregate(batches, groups, aggs, ExecContext{})),
+              expect);
+    EXPECT_EQ(SortedImages(HashAggregate(batches, groups, aggs, par)), expect);
+  }
+  // NULL group keys form exactly one group, holding every NULL-key row.
+  const auto by_g = HashAggregate(RowsToBatches(rows, schema, {}, 4096), {0},
+                                  {AggSpec::Count("n")}, par);
+  EXPECT_GT(by_g.size(), size_t{65536});
+  size_t null_groups = 0;
+  for (const Row& r : by_g) {
+    if (!r.Get(0).is_null()) continue;
+    ++null_groups;
+    EXPECT_EQ(r.Get(1).AsInt64(), (2 * kGroups + 96) / 97);
+  }
+  EXPECT_EQ(null_groups, 1u);
 }
 
 TEST_F(VectorizedScanTest, ExtractedJoinKeysMatchRowJoin) {

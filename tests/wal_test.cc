@@ -105,10 +105,19 @@ TEST(WalWriterTest, FileBackendRoundTrip) {
     commit.txn_id = 5;
     w.Append(commit);
     ASSERT_TRUE(w.Sync().ok());
+    // The file backend keeps no in-memory copy of flushed groups:
+    // ContentsForTest reads them back from the file, plus the unflushed
+    // buffer.
+    w.Append(MakeDml(WalRecordType::kInsert, 6, 3, 999));
+    const auto contents = WalReader::Parse(w.ContentsForTest());
+    ASSERT_EQ(contents.size(), 22u);
+    EXPECT_EQ(contents[20].type, WalRecordType::kCommit);
+    EXPECT_EQ(contents[21].key, 999);
   }
+  // The destructor flushed the last record too.
   auto res = WalReader::ReadFile(path);
   ASSERT_TRUE(res.ok());
-  ASSERT_EQ(res->size(), 21u);
+  ASSERT_EQ(res->size(), 22u);
   EXPECT_EQ((*res)[20].type, WalRecordType::kCommit);
   std::remove(path.c_str());
 }
