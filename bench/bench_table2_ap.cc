@@ -81,9 +81,9 @@ int main() {
   }
 
   // Stage the unmerged tail into each delta design.
-  InMemoryDeltaStore mem_delta;
+  InMemoryDeltaStore mem_delta(schema);
   L1L2DeltaStore l1l2(schema, 2048);
-  LogDeltaStore log_delta;
+  LogDeltaStore log_delta(schema);
   {
     std::vector<DeltaEntry> batch;
     for (size_t i = 0; i < kTailRows; ++i) {

@@ -10,8 +10,8 @@
 #   bench  — bench smokes + regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
-#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests and
-#            the EBR/OLC concurrency tests
+#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
+#            the sync merge model test and the EBR/OLC concurrency tests
 #   tsan   — TSan over the concurrency tests (zero suppressions)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
@@ -120,6 +120,17 @@ suite_bench() {
     FAILED_SUITES+=("bench/scaleout")
   fi
 
+  echo "== bench smoke: Table 2 DS merge rate (reported, not gated) =="
+  # Entries merged per second for the in-memory, L1/L2 and log deltas. Kept
+  # out of bench_smoke.log so the regression gate below never reads it; the
+  # JSON line in the CI log is there to show a merge-cost regression.
+  cmake --build build -j "$JOBS" --target bench_table2_ds
+  if ! ./build/bench/bench_table2_ds smoke | tee build/bench_table2_ds.log
+  then
+    echo "FAIL: table2_ds smoke (the bench itself failed)" >&2
+    FAILED_SUITES+=("bench/table2-ds")
+  fi
+
   echo "== bench regression gate (vs BENCH_baseline.json) =="
   # Accumulated, not fail-fast: a throughput blip on a noisy runner must not
   # mask correctness-suite results below.
@@ -145,7 +156,7 @@ suite_asan() {
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
-                    thread_safety_regression_test
+                    thread_safety_regression_test sync_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null

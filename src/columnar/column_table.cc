@@ -9,46 +9,60 @@ void ColumnTable::EnableCompressionAdvisor(bool on) {
   advise_encodings_ = on;
 }
 
+std::vector<ColumnVector> ColumnsFromRows(const Schema& schema,
+                                          const std::vector<Row>& rows) {
+  std::vector<ColumnVector> cols;
+  cols.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    ColumnVector vec(schema.column(c).type);
+    vec.Reserve(rows.size());
+    for (const Row& r : rows) vec.AppendValue(r.Get(c));
+    cols.push_back(std::move(vec));
+  }
+  return cols;
+}
+
 void ColumnTable::AppendBatch(const std::vector<Row>& rows, CSN up_to_csn) {
-  if (!rows.empty()) {
+  AppendColumns(ColumnsFromRows(schema_, rows), up_to_csn);
+}
+
+void ColumnTable::AppendColumns(std::vector<ColumnVector> columns,
+                                CSN up_to_csn) {
+  if (!columns.empty() && columns[0].size() > 0) {
     WriteGuard g(latch_);
-    AppendBatchLocked(rows);
+    AppendColumnsLocked(std::move(columns));
   }
   // order: release — freshness probes read merged_csn_ with acquire outside
   // the latch; the merged rows must be visible before the watermark.
   merged_csn_.store(up_to_csn, std::memory_order_release);
 }
 
-void ColumnTable::AppendBatchLocked(const std::vector<Row>& rows) {
-  // Updates: delete-mark existing positions first.
-  for (const Row& r : rows) {
-    const Key key = r.GetKey(schema_);
-    const auto it = key_index_.find(key);
-    if (it != key_index_.end()) {
-      groups_[it->second.first]->deleted.Set(it->second.second);
-    }
+void ColumnTable::AppendColumnsLocked(std::vector<ColumnVector> columns) {
+  const size_t n = columns[0].size();
+  auto group = std::make_unique<RowGroup>();
+  group->num_rows = n;
+  group->keys = columns[static_cast<size_t>(schema_.pk_index())].ints();
+  group->deleted.Resize(n);
+
+  // One key-index probe per row: a key already indexed is an update, so its
+  // old position (possibly earlier in this batch) is delete-marked.
+  const auto gidx = static_cast<uint32_t>(groups_.size());
+  for (size_t i = 0; i < n; ++i) {
+    const auto pos = std::make_pair(gidx, static_cast<uint32_t>(i));
+    const auto [it, inserted] = key_index_.try_emplace(group->keys[i], pos);
+    if (inserted) continue;
+    const auto [old_group, old_offset] = it->second;
+    (old_group == gidx ? group.get() : groups_[old_group].get())
+        ->deleted.Set(old_offset);
+    it->second = pos;
   }
 
-  auto group = std::make_unique<RowGroup>();
-  group->num_rows = rows.size();
-  group->keys.reserve(rows.size());
-  for (const Row& r : rows) group->keys.push_back(r.GetKey(schema_));
-  group->deleted.Resize(rows.size());
-
-  group->columns.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    ColumnVector vec(schema_.column(c).type);
-    vec.Reserve(rows.size());
-    for (const Row& r : rows) vec.AppendValue(r.Get(c));
+  group->columns.reserve(columns.size());
+  for (const ColumnVector& vec : columns)
     group->columns.push_back(
         advise_encodings_
             ? Segment::BuildWithEncoding(vec, AdviseEncoding(vec).chosen)
             : Segment::Build(vec));
-  }
-
-  const uint32_t gidx = static_cast<uint32_t>(groups_.size());
-  for (size_t i = 0; i < rows.size(); ++i)
-    key_index_[group->keys[i]] = {gidx, static_cast<uint32_t>(i)};
   groups_.push_back(std::move(group));
 }
 
@@ -81,19 +95,24 @@ size_t ColumnTable::Compact() {
   size_t before = 0, after = 0;
   for (auto& gp : groups_) before += gp->MemoryBytes();
 
-  // Gather all live rows, rebuild as a fresh group list.
-  std::vector<Row> live;
+  // Gather every group's live positions column by column into one group.
+  std::vector<ColumnVector> live;
+  live.reserve(schema_.num_columns());
+  for (size_t c = 0; c < schema_.num_columns(); ++c)
+    live.emplace_back(schema_.column(c).type);
+  std::vector<uint32_t> sel;
   for (const auto& gp : groups_) {
-    for (size_t i = 0; i < gp->num_rows; ++i) {
-      if (gp->deleted.Test(i)) continue;
-      Row r;
-      for (const auto& col : gp->columns) r.Append(col.Get(i));
-      live.push_back(std::move(r));
-    }
+    sel.clear();
+    for (uint32_t i = 0; i < gp->num_rows; ++i)
+      if (!gp->deleted.Test(i)) sel.push_back(i);
+    if (sel.empty()) continue;
+    for (size_t c = 0; c < live.size(); ++c)
+      live[c].AppendGather(gp->columns[c].Decode(), sel);
   }
   groups_.clear();
   key_index_.clear();
-  if (!live.empty()) AppendBatchLocked(live);
+  if (!live.empty() && live[0].size() > 0)
+    AppendColumnsLocked(std::move(live));
   for (auto& gp : groups_) after += gp->MemoryBytes();
   return before > after ? before - after : 0;
 }

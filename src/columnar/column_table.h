@@ -42,6 +42,10 @@ struct RowGroup {
   }
 };
 
+/// Unboxes rows into one typed column per schema column.
+std::vector<ColumnVector> ColumnsFromRows(const Schema& schema,
+                                          const std::vector<Row>& rows);
+
 class ColumnTable {
  public:
   explicit ColumnTable(Schema schema) : schema_(std::move(schema)) {}
@@ -50,8 +54,13 @@ class ColumnTable {
 
   // ---- Sync-pipeline write API (single writer; scans may run concurrently)
 
-  /// Appends a batch of rows as one new row group. Rows whose key already
-  /// exists are treated as updates: the old position is delete-marked first.
+  /// Appends typed columns (one per schema column, equal lengths) as one
+  /// new row group and advances merged_csn to `up_to_csn`. A key already
+  /// present — in the table or earlier in the batch — is an update: its old
+  /// position is delete-marked.
+  void AppendColumns(std::vector<ColumnVector> columns, CSN up_to_csn);
+
+  /// Row-at-a-time convenience over AppendColumns.
   void AppendBatch(const std::vector<Row>& rows, CSN up_to_csn);
 
   /// Positionally delete-marks the row with this key. Returns false if the
@@ -61,8 +70,8 @@ class ColumnTable {
   /// Drops all data (rebuild-from-primary begins with this).
   void Clear();
 
-  /// Compacts groups: drops deleted rows and rebuilds segments. Returns
-  /// bytes reclaimed (approximate).
+  /// Compacts groups: gathers the live positions column by column into one
+  /// rebuilt group. Returns bytes reclaimed (approximate).
   size_t Compact();
 
   /// Opt into the size-estimating compression advisor: segments built after
@@ -111,7 +120,8 @@ class ColumnTable {
   RWLatch& latch() const RETURN_CAPABILITY(latch_) { return latch_; }
 
  private:
-  void AppendBatchLocked(const std::vector<Row>& rows) REQUIRES(latch_);
+  void AppendColumnsLocked(std::vector<ColumnVector> columns)
+      REQUIRES(latch_);
 
   const Schema schema_;
   bool advise_encodings_ GUARDED_BY(latch_) = false;

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -65,6 +66,57 @@ class ColumnVector {
   }
 
   bool IsNull(size_t i) const { return nulls_.Test(i); }
+
+  /// Appends slot i of `src` (same type), NULL included, without boxing.
+  void AppendFrom(const ColumnVector& src, size_t i) {
+    if (src.IsNull(i)) {
+      AppendNull();
+      return;
+    }
+    switch (type_) {
+      case Type::kInt64: AppendInt64(src.GetInt64(i)); break;
+      case Type::kDouble: AppendDouble(src.GetDouble(i)); break;
+      case Type::kString: AppendString(src.GetString(i)); break;
+    }
+  }
+
+  /// Appends slots [begin, end) of `src` (same type).
+  void AppendRange(const ColumnVector& src, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i)
+      if (src.IsNull(i)) nulls_.Set(size_ + i - begin);
+    std::visit(
+        [&](auto& dst) {
+          using Vec = std::decay_t<decltype(dst)>;
+          const Vec& from = std::get<Vec>(src.data_);
+          dst.insert(dst.end(), from.begin() + static_cast<long>(begin),
+                     from.begin() + static_cast<long>(end));
+        },
+        data_);
+    size_ += end - begin;
+  }
+
+  /// Appends the slots of `src` (same type) at positions `idx`, in order.
+  void AppendGather(const ColumnVector& src, const std::vector<uint32_t>& idx) {
+    for (size_t k = 0; k < idx.size(); ++k)
+      if (src.IsNull(idx[k])) nulls_.Set(size_ + k);
+    std::visit(
+        [&](auto& dst) {
+          using Vec = std::decay_t<decltype(dst)>;
+          const Vec& from = std::get<Vec>(src.data_);
+          dst.reserve(dst.size() + idx.size());
+          for (uint32_t i : idx) dst.push_back(from[i]);
+        },
+        data_);
+    size_ += idx.size();
+  }
+
+  /// Keeps the first n slots.
+  void Truncate(size_t n) {
+    if (n >= size_) return;
+    std::visit([n](auto& v) { v.resize(n); }, data_);
+    nulls_.Truncate(n);
+    size_ = n;
+  }
 
   int64_t GetInt64(size_t i) const { return ints()[i]; }
   double GetDouble(size_t i) const { return doubles()[i]; }

@@ -1,7 +1,7 @@
 #include "columnar/compression_advisor.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <string_view>
 
 namespace htap {
 
@@ -27,6 +27,16 @@ size_t CountRuns(const std::vector<T>& vals) {
   return runs;
 }
 
+/// Distinct values of a sorted vector (equal values adjacent).
+template <typename T>
+size_t CountSortedDistinct(const std::vector<T>& sorted) {
+  if (sorted.empty()) return 0;
+  size_t d = 1;
+  for (size_t i = 1; i < sorted.size(); ++i)
+    if (!(sorted[i] == sorted[i - 1])) ++d;
+  return d;
+}
+
 }  // namespace
 
 SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
@@ -39,8 +49,9 @@ SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
     case Type::kInt64: {
       const auto& v = values.ints();
       st.runs = CountRuns(v);
-      std::unordered_set<int64_t> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      std::vector<int64_t> sorted(v);
+      std::sort(sorted.begin(), sorted.end());
+      st.distinct = CountSortedDistinct(sorted);
       if (!v.empty()) {
         const auto [mn, mx] = std::minmax_element(v.begin(), v.end());
         st.int_min = *mn;
@@ -51,19 +62,36 @@ SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
     case Type::kDouble: {
       const auto& v = values.doubles();
       st.runs = CountRuns(v);
-      std::unordered_set<double> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      // Equality semantics of a hash set of doubles: -0.0 == 0.0, and every
+      // NaN is distinct from every other.
+      std::vector<double> sorted;
+      sorted.reserve(v.size());
+      size_t nans = 0;
+      for (double d : v) {
+        if (d != d)
+          ++nans;
+        else
+          sorted.push_back(d);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      st.distinct = CountSortedDistinct(sorted) + nans;
       break;
     }
     case Type::kString: {
       const auto& v = values.strings();
       st.runs = CountRuns(v);
-      std::unordered_set<std::string> distinct;
+      std::vector<std::string_view> sorted;
+      sorted.reserve(v.size());
       for (const auto& s : v) {
         st.string_bytes += s.size();
-        if (distinct.insert(s).second) st.distinct_string_bytes += s.size();
+        sorted.emplace_back(s);
       }
-      st.distinct = distinct.size();
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        if (i > 0 && sorted[i] == sorted[i - 1]) continue;
+        ++st.distinct;
+        st.distinct_string_bytes += sorted[i].size();
+      }
       break;
     }
   }

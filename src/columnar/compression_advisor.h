@@ -51,7 +51,7 @@ struct SegmentValueStats {
   int64_t int_max = 0;
 };
 
-/// Collects SegmentValueStats from `values` in one pass.
+/// Collects SegmentValueStats from `values`; distinct counts sort a copy.
 SegmentValueStats CollectSegmentStats(const ColumnVector& values);
 
 /// Re-picks the segment encoding from observed stats (see file header).

@@ -24,6 +24,15 @@ class Bitmap {
 
   size_t size() const { return nbits_; }
 
+  /// Shrinks to the first `nbits` bits, clearing every bit past them so a
+  /// later Set/Resize cannot resurrect a stale one.
+  void Truncate(size_t nbits) {
+    if (nbits >= nbits_) return;
+    nbits_ = nbits;
+    words_.resize((nbits + 63) / 64);
+    if ((nbits & 63) != 0) words_.back() &= (1ULL << (nbits & 63)) - 1;
+  }
+
   void Set(size_t i) {
     EnsureCapacity(i);
     words_[i >> 6] |= (1ULL << (i & 63));

@@ -99,7 +99,10 @@ void DeltaMainHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
   // dictionary-encoding spill) — the cost behind Table 1's "Low TP
   // scalability" for this architecture.
   MutexLock lk(&tables_mu_);
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
+  router_.Route(events, [&](uint32_t tid, TableEvents run) {
+    const auto it = tables_.find(tid);
+    if (it != tables_.end()) it->second->delta->AppendEvents(run);
+  });
 }
 
 L1L2DeltaStore* DeltaMainHtapEngine::delta(uint32_t table_id) {

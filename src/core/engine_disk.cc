@@ -71,6 +71,16 @@ Predicate RemapPredicate(const Predicate& pred,
   return Predicate::True();
 }
 
+/// The chunk restricted to the IMCS's loaded columns, in `loaded` order.
+ChangeChunk ProjectChunk(ChangeChunk chunk, const std::vector<int>& loaded) {
+  std::vector<ColumnVector> cols;
+  cols.reserve(loaded.size());
+  for (int c : loaded)
+    cols.push_back(std::move(chunk.columns[static_cast<size_t>(c)]));
+  chunk.columns = std::move(cols);
+  return chunk;
+}
+
 /// Wraps a full-row delta so its entries appear in the IMCS's projected
 /// layout during the delta+column union.
 class ProjectingDeltaReader : public DeltaReader {
@@ -91,6 +101,9 @@ class ProjectingDeltaReader : public DeltaReader {
         for (int c : loaded_) proj.row.Append(e.row.Get(static_cast<size_t>(c)));
       visit(proj);
     });
+  }
+  ChangeChunk VisibleChunk(CSN snapshot) const override {
+    return ProjectChunk(inner_->VisibleChunk(snapshot), loaded_);
   }
   size_t EntryCount() const override { return inner_->EntryCount(); }
   size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
@@ -125,7 +138,7 @@ Status DiskHtapEngine::CreateTable(const TableInfo& info) {
                                             info.schema,
                                             options_.buffer_pool_pages);
   HTAP_RETURN_NOT_OK(ts->heap->Open());
-  ts->delta = std::make_unique<InMemoryDeltaStore>();
+  ts->delta = std::make_unique<InMemoryDeltaStore>(info.schema);
   // Start with every column loaded; RefreshColumnSelection applies the
   // advisor + budget once a workload has been observed.
   for (size_t c = 0; c < info.schema.num_columns(); ++c)
@@ -161,16 +174,18 @@ Status DiskHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
 
 void DiskHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
   MutexLock lk(&tables_mu_);
-  for (const ChangeEvent& ev : events) {
-    const auto it = tables_.find(ev.table_id);
-    if (it == tables_.end()) continue;
+  router_.Route(events, [&](uint32_t tid, TableEvents run) {
+    const auto it = tables_.find(tid);
+    if (it == tables_.end()) return;
     // Write-through to the durable heap (the "disk row store").
-    if (ev.op == ChangeOp::kDelete)
-      it->second->heap->Delete(ev.key);
-    else
-      it->second->heap->Put(ev.row);
-  }
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
+    for (const ChangeEvent* ev : run) {
+      if (ev->op == ChangeOp::kDelete)
+        it->second->heap->Delete(ev->key);
+      else
+        it->second->heap->Put(ev->row);
+    }
+    it->second->delta->AppendEvents(run);
+  });
 }
 
 Row DiskHtapEngine::ProjectToLoaded(const std::vector<int>& loaded,
@@ -196,18 +211,9 @@ Status DiskHtapEngine::SyncImcs(TableState* ts, CSN target,
     imcs = ts->imcs;
     loaded = ts->loaded;
   }
-  auto entries = ts->delta->DrainUpTo(target);
-  std::vector<DeltaEntry> projected;
-  projected.reserve(entries.size());
-  for (DeltaEntry& e : entries) {
-    DeltaEntry p;
-    p.op = e.op;
-    p.key = e.key;
-    p.csn = e.csn;
-    if (e.op != ChangeOp::kDelete) p.row = ProjectToLoaded(loaded, e.row);
-    projected.push_back(std::move(p));
-  }
-  ApplyEntriesToColumnTable(imcs.get(), projected, target);
+  MergeChunkIntoColumnTable(imcs.get(),
+                            ProjectChunk(ts->delta->DrainUpTo(target), loaded),
+                            target);
   if (imcs_out != nullptr) *imcs_out = std::move(imcs);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
   return Status::OK();

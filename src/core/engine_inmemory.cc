@@ -69,7 +69,7 @@ Status InMemoryHtapEngine::CreateTable(const TableInfo& info) {
   HTAP_RETURN_NOT_OK(layer_.AddTable(info, wal_.get()));
   auto ts = std::make_unique<TableState>();
   ts->info = info;
-  ts->delta = std::make_unique<InMemoryDeltaStore>();
+  ts->delta = std::make_unique<InMemoryDeltaStore>(info.schema);
   ts->columns = std::make_unique<ColumnTable>(info.schema);
   if (options_.compression_advisor) ts->columns->EnableCompressionAdvisor(true);
   ts->sync = std::make_unique<DataSynchronizer>(
@@ -116,7 +116,10 @@ Status InMemoryHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
 
 void InMemoryHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
   MutexLock lk(&tables_mu_);
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
+  router_.Route(events, [&](uint32_t tid, TableEvents run) {
+    const auto it = tables_.find(tid);
+    if (it != tables_.end()) it->second->delta->AppendEvents(run);
+  });
 }
 
 ColumnTable* InMemoryHtapEngine::column_table(uint32_t table_id) {

@@ -147,6 +147,7 @@ class InMemoryHtapEngine : public HtapEngine, public ChangeSink {
   std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
       GUARDED_BY(tables_mu_);
   std::unique_ptr<SyncDaemon> daemon_;
+  EventRouter router_ GUARDED_BY(tables_mu_);  // OnCommit routing buffer
   mutable Mutex tables_mu_{LockRank::kEngineTables, "inmemory-tables"};
 };
 
@@ -208,6 +209,7 @@ class DeltaMainHtapEngine : public HtapEngine, public ChangeSink {
   std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
       GUARDED_BY(tables_mu_);
   std::unique_ptr<SyncDaemon> daemon_;
+  EventRouter router_ GUARDED_BY(tables_mu_);  // OnCommit routing buffer
   mutable Mutex tables_mu_{LockRank::kEngineTables, "deltamain-tables"};
 };
 
@@ -317,6 +319,7 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
   // TableState pointers are stable (entries never erased); see (a).
   std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
       GUARDED_BY(tables_mu_);
+  EventRouter router_ GUARDED_BY(tables_mu_);  // OnCommit routing buffer
   mutable Mutex tables_mu_{LockRank::kEngineTables, "disk-tables"};
 };
 

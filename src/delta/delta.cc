@@ -10,44 +10,44 @@ size_t EntryBytes(const DeltaEntry& e) {
   return sizeof(DeltaEntry) + e.row.MemoryBytes();
 }
 
-DeltaEntry FromEvent(const ChangeEvent& ev) {
-  return DeltaEntry{ev.op, ev.key, ev.row, ev.csn};
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // InMemoryDeltaStore
 // ---------------------------------------------------------------------------
 
+InMemoryDeltaStore::InMemoryDeltaStore(const Schema& schema)
+    : chunk_(schema) {}
+
 void InMemoryDeltaStore::Append(const DeltaEntry& e) {
   MutexLock lk(&mu_);
-  mem_bytes_ += EntryBytes(e);
-  entries_.push_back(e);
+  chunk_.Append(e);
+  mem_bytes_ += chunk_.EntryBytes(chunk_.size() - 1);
 }
 
-void InMemoryDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                     uint32_t table_id) {
+void InMemoryDeltaStore::AppendEvents(TableEvents events) {
   MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    entries_.push_back(FromEvent(ev));
-    mem_bytes_ += EntryBytes(entries_.back());
+  for (const ChangeEvent* ev : events) {
+    chunk_.Append(ev->op, ev->key, ev->csn, ev->row);
+    mem_bytes_ += chunk_.EntryBytes(chunk_.size() - 1);
   }
 }
 
 void InMemoryDeltaStore::ScanVisible(
     CSN snapshot, const std::function<void(const DeltaEntry&)>& visit) const {
   MutexLock lk(&mu_);
-  for (const auto& e : entries_) {
-    if (e.csn > snapshot) break;  // commit order: everything after is newer
-    visit(e);
-  }
+  const size_t cut = chunk_.CutAt(snapshot);
+  for (size_t i = 0; i < cut; ++i) visit(chunk_.EntryAt(i));
+}
+
+ChangeChunk InMemoryDeltaStore::VisibleChunk(CSN snapshot) const {
+  MutexLock lk(&mu_);
+  return chunk_.Slice(0, chunk_.CutAt(snapshot));
 }
 
 size_t InMemoryDeltaStore::EntryCount() const {
   MutexLock lk(&mu_);
-  return entries_.size();
+  return chunk_.size();
 }
 
 size_t InMemoryDeltaStore::MemoryBytes() const {
@@ -55,20 +55,23 @@ size_t InMemoryDeltaStore::MemoryBytes() const {
   return mem_bytes_;
 }
 
-std::vector<DeltaEntry> InMemoryDeltaStore::DrainUpTo(CSN csn) {
+ChangeChunk InMemoryDeltaStore::DrainUpTo(CSN csn) {
   MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
-  while (!entries_.empty() && entries_.front().csn <= csn) {
-    mem_bytes_ -= std::min(mem_bytes_, EntryBytes(entries_.front()));
-    out.push_back(std::move(entries_.front()));
-    entries_.pop_front();
-  }
+  const size_t n = chunk_.size();
+  const size_t cut = chunk_.CutAt(csn);
+  if (cut == 0) return chunk_.EmptyLike();
+  ChangeChunk out = std::move(chunk_);
+  chunk_ = out.Slice(cut, n);  // the newer suffix stays staged
+  out.Truncate(cut);
+  mem_bytes_ = 0;
+  for (size_t i = 0; i < chunk_.size(); ++i)
+    mem_bytes_ += chunk_.EntryBytes(i);
   return out;
 }
 
 CSN InMemoryDeltaStore::max_csn() const {
   MutexLock lk(&mu_);
-  return entries_.empty() ? 0 : entries_.back().csn;
+  return chunk_.empty() ? 0 : chunk_.csns.back();
 }
 
 // ---------------------------------------------------------------------------
@@ -84,13 +87,10 @@ void L1L2DeltaStore::Append(const DeltaEntry& e) {
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
 }
 
-void L1L2DeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                 uint32_t table_id) {
+void L1L2DeltaStore::AppendEvents(TableEvents events) {
   MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    l1_.push_back(FromEvent(ev));
-  }
+  for (const ChangeEvent* ev : events)
+    l1_.push_back(DeltaEntry{ev->op, ev->key, ev->row, ev->csn});
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
 }
 
@@ -101,50 +101,20 @@ void L1L2DeltaStore::SpillL1() {
 
 void L1L2DeltaStore::SpillL1Locked() {
   if (l1_.empty()) return;
-  L2Chunk chunk;
-  chunk.num_rows = l1_.size();
-  chunk.ops.reserve(l1_.size());
-  chunk.keys.reserve(l1_.size());
-  chunk.csns.reserve(l1_.size());
-  for (size_t c = 0; c < schema_.num_columns(); ++c)
-    chunk.columns.emplace_back(schema_.column(c).type);
-
-  for (const DeltaEntry& e : l1_) {
-    chunk.ops.push_back(e.op);
-    chunk.keys.push_back(e.key);
-    chunk.csns.push_back(e.csn);
-    chunk.max_csn = std::max(chunk.max_csn, e.csn);
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      if (e.op == ChangeOp::kDelete)
-        chunk.columns[c].AppendNull();
-      else
-        chunk.columns[c].AppendValue(e.row.Get(c));
-    }
-  }
+  ChangeChunk chunk(schema_);
+  for (const DeltaEntry& e : l1_) chunk.Append(e);
   l1_.clear();
   l2_.push_back(std::move(chunk));
-}
-
-DeltaEntry L1L2DeltaStore::L2Entry(const L2Chunk& c, size_t i) const {
-  DeltaEntry e;
-  e.op = c.ops[i];
-  e.key = c.keys[i];
-  e.csn = c.csns[i];
-  if (e.op != ChangeOp::kDelete) {
-    for (size_t col = 0; col < c.columns.size(); ++col)
-      e.row.Append(c.columns[col].GetValue(i));
-  }
-  return e;
 }
 
 void L1L2DeltaStore::ScanVisible(
     CSN snapshot, const std::function<void(const DeltaEntry&)>& visit) const {
   MutexLock lk(&mu_);
   // L2 chunks are strictly older than L1 (spill preserves order).
-  for (const auto& chunk : l2_) {
-    for (size_t i = 0; i < chunk.num_rows; ++i) {
+  for (const ChangeChunk& chunk : l2_) {
+    for (size_t i = 0; i < chunk.size(); ++i) {
       if (chunk.csns[i] > snapshot) return;
-      visit(L2Entry(chunk, i));
+      visit(chunk.EntryAt(i));
     }
   }
   for (const auto& e : l1_) {
@@ -153,18 +123,26 @@ void L1L2DeltaStore::ScanVisible(
   }
 }
 
+ChangeChunk L1L2DeltaStore::VisibleChunk(CSN snapshot) const {
+  MutexLock lk(&mu_);
+  ChangeChunk out(schema_);
+  for (const ChangeChunk& chunk : l2_) {
+    const size_t cut = chunk.CutAt(snapshot);
+    out.AppendRange(chunk, 0, cut);
+    if (cut < chunk.size()) return out;
+  }
+  for (const auto& e : l1_) {
+    if (e.csn > snapshot) break;
+    out.Append(e);
+  }
+  return out;
+}
+
 size_t L1L2DeltaStore::EntryCount() const {
   MutexLock lk(&mu_);
   size_t n = l1_.size();
-  for (const auto& c : l2_) n += c.num_rows;
+  for (const auto& c : l2_) n += c.size();
   return n;
-}
-
-size_t L1L2DeltaStore::L2Chunk::MemoryBytes() const {
-  size_t b = sizeof(*this) + ops.capacity() + keys.capacity() * 8 +
-             csns.capacity() * 8;
-  for (const auto& col : columns) b += col.MemoryBytes();
-  return b;
 }
 
 size_t L1L2DeltaStore::MemoryBytes() const {
@@ -175,31 +153,28 @@ size_t L1L2DeltaStore::MemoryBytes() const {
   return b;
 }
 
-std::vector<DeltaEntry> L1L2DeltaStore::DrainUpTo(CSN csn) {
+ChangeChunk L1L2DeltaStore::DrainUpTo(CSN csn) {
   MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
-  while (!l2_.empty() && l2_.front().max_csn <= csn) {
-    const L2Chunk& c = l2_.front();
-    for (size_t i = 0; i < c.num_rows; ++i) out.push_back(L2Entry(c, i));
-    l2_.pop_front();
-  }
-  // Partial L2 chunk: split it.
-  if (!l2_.empty() && !l2_.front().csns.empty() && l2_.front().csns[0] <= csn) {
-    L2Chunk& c = l2_.front();
-    std::deque<DeltaEntry> keep;
-    for (size_t i = 0; i < c.num_rows; ++i) {
-      DeltaEntry e = L2Entry(c, i);
-      if (e.csn <= csn)
-        out.push_back(std::move(e));
-      else
-        keep.push_back(std::move(e));
+  ChangeChunk out(schema_);
+  while (!l2_.empty()) {
+    ChangeChunk& front = l2_.front();
+    const size_t cut = front.CutAt(csn);
+    if (cut < front.size()) {
+      // Cut inside the chunk: the older prefix drains, the rest stays L2.
+      if (cut > 0) {
+        out.AppendRange(front, 0, cut);
+        front = front.Slice(cut, front.size());
+      }
+      return out;  // L1 is newer still
     }
+    if (out.empty())
+      out = std::move(front);
+    else
+      out.AppendRange(front, 0, front.size());
     l2_.pop_front();
-    for (auto it = keep.rbegin(); it != keep.rend(); ++it)
-      l1_.push_front(std::move(*it));  // demote remainder back to L1
   }
   while (!l1_.empty() && l1_.front().csn <= csn) {
-    out.push_back(std::move(l1_.front()));
+    out.Append(l1_.front());
     l1_.pop_front();
   }
   return out;
@@ -213,7 +188,7 @@ size_t L1L2DeltaStore::l1_size() const {
 size_t L1L2DeltaStore::l2_size() const {
   MutexLock lk(&mu_);
   size_t n = 0;
-  for (const auto& c : l2_) n += c.num_rows;
+  for (const auto& c : l2_) n += c.size();
   return n;
 }
 
@@ -258,11 +233,11 @@ void LogDeltaStore::AppendFile(const std::vector<DeltaEntry>& entries) {
     key_index_.Insert(entries[i].key, (seq << 32) | i);
 }
 
-void LogDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                uint32_t table_id) {
+void LogDeltaStore::AppendEvents(TableEvents events) {
   std::vector<DeltaEntry> entries;
-  for (const auto& ev : events)
-    if (ev.table_id == table_id) entries.push_back(FromEvent(ev));
+  entries.reserve(events.size());
+  for (const ChangeEvent* ev : events)
+    entries.push_back(DeltaEntry{ev->op, ev->key, ev->row, ev->csn});
   AppendFile(entries);
 }
 
@@ -280,6 +255,12 @@ void LogDeltaStore::ScanVisible(
       visit(e);
     }
   }
+}
+
+ChangeChunk LogDeltaStore::VisibleChunk(CSN snapshot) const {
+  ChangeChunk out(schema_);
+  ScanVisible(snapshot, [&](const DeltaEntry& e) { out.Append(e); });
+  return out;
 }
 
 size_t LogDeltaStore::EntryCount() const {
@@ -318,14 +299,14 @@ bool LogDeltaStore::LookupLatest(Key key, DeltaEntry* out) const {
   return false;
 }
 
-std::vector<DeltaEntry> LogDeltaStore::DrainUpTo(CSN csn) {
+ChangeChunk LogDeltaStore::DrainUpTo(CSN csn) {
   MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
+  ChangeChunk out(schema_);
   while (!files_.empty() && files_.front().max_csn <= csn) {
     const DeltaFile& f = files_.front();
     size_t pos = 0;
     DeltaEntry e;
-    while (DecodeEntry(f.blob, &pos, &e)) out.push_back(std::move(e));
+    while (DecodeEntry(f.blob, &pos, &e)) out.Append(e);
     files_.pop_front();
     ++file_seq_base_;
   }

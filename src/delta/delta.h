@@ -2,24 +2,29 @@
 // their freshness/efficiency trade-offs (Table 2, AP + DS rows).
 //
 // Three designs from the survey, behind one read interface:
-//  * InMemoryDeltaStore — row-wise in-memory delta (Oracle SMU, SQL Server
-//    delta rowgroups, DB2 BLU shadow tables).
+//  * InMemoryDeltaStore — in-memory delta (Oracle SMU, SQL Server delta
+//    rowgroups, DB2 BLU shadow tables), held as one typed ChangeChunk.
 //  * L1L2DeltaStore     — SAP HANA's two-stage delta: L1 keeps raw rows,
-//    spilling into a dictionary-encoded columnar L2, which merges into Main.
+//    spilling into columnar L2 chunks, which merge into Main.
 //  * LogDeltaStore      — TiDB/TiFlash-style: changes accumulate in encoded
 //    "delta files" indexed by a B+-tree; reads must decode the files.
+//
+// Every store drains into a ChangeChunk (delta/change_chunk.h), the one
+// form the merge consumes.
 
 #ifndef HTAP_DELTA_DELTA_H_
 #define HTAP_DELTA_DELTA_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
-#include "columnar/column_vector.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "delta/change_chunk.h"
 #include "index/btree.h"
 #include "txn/types.h"
 #include "types/row.h"
@@ -27,12 +32,39 @@
 
 namespace htap {
 
-/// One committed change staged in a delta store.
-struct DeltaEntry {
-  ChangeOp op = ChangeOp::kInsert;
-  Key key = 0;
-  Row row;  // empty for deletes
-  CSN csn = 0;
+/// One commit's events for one table, in commit order.
+using TableEvents = std::span<const ChangeEvent* const>;
+
+/// Groups one commit's events into per-table runs — one pass, plus a sort
+/// only when tables interleave — so a commit's routing cost does not grow
+/// with the number of tables the engine holds. Reuses its buffer across
+/// commits; callers serialize (engines route under their table-map mutex).
+class EventRouter {
+ public:
+  /// Calls fn(table_id, events) once per table the commit touched.
+  template <typename Fn>
+  void Route(const std::vector<ChangeEvent>& events, const Fn& fn) {
+    order_.clear();
+    for (const ChangeEvent& ev : events) order_.push_back(&ev);
+    // Events sit in one vector, so address order is commit order: sorting
+    // by (table, address) keeps each table's run in commit order.
+    const auto by_table = [](const ChangeEvent* a, const ChangeEvent* b) {
+      return a->table_id != b->table_id ? a->table_id < b->table_id : a < b;
+    };
+    if (!std::is_sorted(order_.begin(), order_.end(), by_table))
+      std::sort(order_.begin(), order_.end(), by_table);
+    for (size_t lo = 0; lo < order_.size();) {
+      size_t hi = lo + 1;
+      while (hi < order_.size() &&
+             order_[hi]->table_id == order_[lo]->table_id)
+        ++hi;
+      fn(order_[lo]->table_id, TableEvents(order_.data() + lo, hi - lo));
+      lo = hi;
+    }
+  }
+
+ private:
+  std::vector<const ChangeEvent*> order_;
 };
 
 /// Uniform read interface the HTAP scan path uses to union a delta with the
@@ -41,10 +73,14 @@ class DeltaReader {
  public:
   virtual ~DeltaReader() = default;
 
-  /// Visits entries with csn <= snapshot in commit order.
+  /// Visits entries with csn <= snapshot in commit order, boxed.
   virtual void ScanVisible(
       CSN snapshot, const std::function<void(const DeltaEntry&)>& visit)
       const = 0;
+
+  /// Typed copy of the entries with csn <= snapshot, in commit order — the
+  /// form the AP scan unions with the column store.
+  virtual ChangeChunk VisibleChunk(CSN snapshot) const = 0;
 
   /// Number of staged entries (all CSNs).
   virtual size_t EntryCount() const = 0;
@@ -54,30 +90,36 @@ class DeltaReader {
 };
 
 // ---------------------------------------------------------------------------
-// In-memory row-wise delta
+// In-memory delta: one typed chunk
 // ---------------------------------------------------------------------------
 
 class InMemoryDeltaStore : public DeltaReader {
  public:
+  explicit InMemoryDeltaStore(const Schema& schema);
+
   void Append(const DeltaEntry& e);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  /// Appends one commit's events for this table, unboxed into the chunk.
+  void AppendEvents(TableEvents events);
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
       const override;
+  ChangeChunk VisibleChunk(CSN snapshot) const override;
   size_t EntryCount() const override;
   size_t MemoryBytes() const override;
 
   /// Removes and returns all entries with csn <= csn (the merge pipeline
-  /// consumes these).
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  /// consumes these). Cuts at the first newer CSN: when the cut covers
+  /// everything the chunk is swapped out whole, otherwise only the newer
+  /// suffix is copied into a fresh chunk.
+  ChangeChunk DrainUpTo(CSN csn);
 
   /// CSN of the newest staged entry (0 if empty).
   CSN max_csn() const;
 
  private:
   mutable Mutex mu_{LockRank::kDeltaStore, "delta-inmemory"};
-  std::deque<DeltaEntry> entries_ GUARDED_BY(mu_);
+  ChangeChunk chunk_ GUARDED_BY(mu_);
   size_t mem_bytes_ GUARDED_BY(mu_) = 0;
 };
 
@@ -91,11 +133,13 @@ class L1L2DeltaStore : public DeltaReader {
   L1L2DeltaStore(Schema schema, size_t l1_spill_threshold = 4096);
 
   void Append(const DeltaEntry& e);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  /// Appends one commit's events for this table to L1.
+  void AppendEvents(TableEvents events);
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
       const override;
+  ChangeChunk VisibleChunk(CSN snapshot) const override;
   size_t EntryCount() const override;
   size_t MemoryBytes() const override;
 
@@ -103,33 +147,21 @@ class L1L2DeltaStore : public DeltaReader {
   void SpillL1();
 
   /// Removes all entries with csn <= csn, returning them in commit order
-  /// (L2 chunks first, then remaining L1) for the merge into Main.
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  /// (L2 chunks first, then remaining L1) for the merge into Main. A cut
+  /// inside an L2 chunk leaves its newer suffix in L2.
+  ChangeChunk DrainUpTo(CSN csn);
 
   size_t l1_size() const;
   size_t l2_size() const;
 
  private:
-  /// One dictionary-encoded columnar chunk of spilled entries.
-  struct L2Chunk {
-    std::vector<ChangeOp> ops;
-    std::vector<Key> keys;
-    std::vector<CSN> csns;
-    std::vector<ColumnVector> columns;  // one per schema column; row i valid
-                                        // only when ops[i] != kDelete
-    size_t num_rows = 0;
-    CSN max_csn = 0;
-    size_t MemoryBytes() const;
-  };
-
   void SpillL1Locked() REQUIRES(mu_);
-  DeltaEntry L2Entry(const L2Chunk& c, size_t i) const;
 
   const Schema schema_;
   const size_t l1_spill_threshold_;
   mutable Mutex mu_{LockRank::kDeltaStore, "delta-l1l2"};
   std::deque<DeltaEntry> l1_ GUARDED_BY(mu_);
-  std::deque<L2Chunk> l2_ GUARDED_BY(mu_);
+  std::deque<ChangeChunk> l2_ GUARDED_BY(mu_);  // columnar, commit order
 };
 
 // ---------------------------------------------------------------------------
@@ -138,15 +170,17 @@ class L1L2DeltaStore : public DeltaReader {
 
 class LogDeltaStore : public DeltaReader {
  public:
-  LogDeltaStore() = default;
+  explicit LogDeltaStore(Schema schema) : schema_(std::move(schema)) {}
 
   /// Seals a batch of changes into one encoded delta file.
   void AppendFile(const std::vector<DeltaEntry>& entries);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  /// Seals one commit's events for this table into one delta file.
+  void AppendEvents(TableEvents events);
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
       const override;
+  ChangeChunk VisibleChunk(CSN snapshot) const override;
   size_t EntryCount() const override;
   size_t MemoryBytes() const override;
 
@@ -156,7 +190,7 @@ class LogDeltaStore : public DeltaReader {
 
   /// Removes all files whose max csn <= csn; returns their decoded entries
   /// in order (the log-based delta merge consumes these).
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  ChangeChunk DrainUpTo(CSN csn);
 
   size_t num_files() const;
   /// Cumulative bytes decoded by reads — the "expensive delta read" cost the
@@ -173,6 +207,7 @@ class LogDeltaStore : public DeltaReader {
   static void EncodeEntry(const DeltaEntry& e, std::string* out);
   static bool DecodeEntry(const std::string& in, size_t* pos, DeltaEntry* out);
 
+  const Schema schema_;
   mutable Mutex mu_{LockRank::kDeltaStore, "delta-log"};
   std::deque<DeltaFile> files_ GUARDED_BY(mu_);
   // key -> (file_seq << 32 | entry_idx), newest wins. The B+-tree has its

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/flat_index.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "exec/segment_filter.h"
@@ -27,11 +28,87 @@ Row ProjectRow(const Row& row, const std::vector<int>& projection) {
   return out;
 }
 
+/// Equal to cv.GetValue(i).Compare(v) for a non-NULL cell and a non-NULL
+/// value, without boxing the cell.
+int CompareCellToValue(const ColumnVector& cv, size_t i, const Value& v) {
+  const auto three_way = [](auto a, auto b) { return a < b ? -1 : (a > b); };
+  switch (cv.type()) {
+    case Type::kInt64:
+      if (v.is_string()) return -1;  // numbers sort before strings
+      if (v.is_int64()) return three_way(cv.GetInt64(i), v.AsInt64());
+      return three_way(static_cast<double>(cv.GetInt64(i)), v.AsDouble());
+    case Type::kDouble:
+      if (v.is_string()) return -1;
+      return three_way(cv.GetDouble(i), v.AsDouble());
+    case Type::kString: {
+      if (!v.is_string()) return 1;
+      const int c = cv.GetString(i).compare(v.AsString());
+      return c < 0 ? -1 : (c > 0);
+    }
+  }
+  return 0;
+}
+
+/// Predicate::Eval over slot i of typed columns — the same answer as
+/// evaluating the boxed row, without boxing it.
+bool EvalTyped(const Predicate& p, const std::vector<ColumnVector>& cols,
+               size_t i) {
+  switch (p.kind()) {
+    case Predicate::Kind::kTrue:
+      return true;
+    case Predicate::Kind::kCompare: {
+      const ColumnVector& cv = cols[static_cast<size_t>(p.column())];
+      if (cv.IsNull(i) || p.literal().is_null()) return false;
+      const int c = CompareCellToValue(cv, i, p.literal());
+      switch (p.op()) {
+        case CmpOp::kEq: return c == 0;
+        case CmpOp::kNe: return c != 0;
+        case CmpOp::kLt: return c < 0;
+        case CmpOp::kLe: return c <= 0;
+        case CmpOp::kGt: return c > 0;
+        case CmpOp::kGe: return c >= 0;
+      }
+      return false;
+    }
+    case Predicate::Kind::kAnd:
+      for (const Predicate& c : p.children())
+        if (!EvalTyped(c, cols, i)) return false;
+      return true;
+    case Predicate::Kind::kOr:
+      for (const Predicate& c : p.children())
+        if (EvalTyped(c, cols, i)) return true;
+      return false;
+    case Predicate::Kind::kNot:
+      return !EvalTyped(p.children()[0], cols, i);
+  }
+  return false;
+}
+
+/// The delta side of one HTAP scan: the visible changes as one typed chunk
+/// and, per key, the position of its latest visible change. The delta
+/// partition is emitted in `latest`'s iteration order, identical for the
+/// serial and parallel passes (the map is built identically in both).
+struct DeltaOverrides {
+  ChangeChunk visible;
+  std::unordered_map<Key, uint32_t> latest;
+};
+
+DeltaOverrides CollectDeltaOverrides(const DeltaReader* delta, CSN snapshot,
+                                     ScanStats* st) {
+  DeltaOverrides o;
+  if (delta == nullptr) return o;
+  o.visible = delta->VisibleChunk(snapshot);
+  st->delta_entries_read = o.visible.size();
+  for (size_t i = 0; i < o.visible.size(); ++i)
+    o.latest[o.visible.keys[i]] = static_cast<uint32_t>(i);
+  return o;
+}
+
 /// Read-only state shared by every morsel of one HTAP scan.
 struct HtapScanShared {
   const Predicate* pred;
   const std::vector<int>* projection;
-  const std::unordered_map<Key, const DeltaEntry*>* overrides;
+  const std::unordered_map<Key, uint32_t>* overrides;
 };
 
 /// Computes one row group's surviving selection: live, non-overridden
@@ -209,17 +286,9 @@ std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
   ScanStats* st = stats != nullptr ? stats : &local;
 
   // 1. Collect the delta override set: latest visible entry per key.
-  std::unordered_map<Key, const DeltaEntry*> overrides;
-  std::vector<DeltaEntry> delta_entries;
-  if (delta != nullptr) {
-    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      delta_entries.push_back(e);
-    });
-    st->delta_entries_read = delta_entries.size();
-    for (const auto& e : delta_entries) overrides[e.key] = &e;
-  }
-
-  const HtapScanShared shared{&pred, &projection, &overrides};
+  const DeltaOverrides delta_side = CollectDeltaOverrides(delta, snapshot, st);
+  const ChangeChunk& visible = delta_side.visible;
+  const HtapScanShared shared{&pred, &projection, &delta_side.latest};
 
   // 2. Scan the main column store, skipping deleted and overridden rows.
   // Hold the table's scan latch for the whole pass so Compact() cannot
@@ -236,10 +305,10 @@ std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
   std::vector<Row> delta_out;
   ScanStats delta_st;
   auto delta_morsel = [&] {
-    for (const auto& [key, e] : overrides) {
-      if (e->op == ChangeOp::kDelete) continue;
-      if (!pred.Eval(e->row)) continue;
-      delta_out.push_back(ProjectRow(e->row, projection));
+    for (const auto& [key, i] : delta_side.latest) {
+      if (visible.ops[i] == ChangeOp::kDelete) continue;
+      if (!EvalTyped(pred, visible.columns, i)) continue;
+      delta_out.push_back(ProjectRow(visible.RowAt(i), projection));
       ++delta_st.delta_rows_emitted;
     }
   };
@@ -310,17 +379,9 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
   ScanStats* st = stats != nullptr ? stats : &local;
 
   // 1. Delta override set, exactly as the row scan builds it.
-  std::unordered_map<Key, const DeltaEntry*> overrides;
-  std::vector<DeltaEntry> delta_entries;
-  if (delta != nullptr) {
-    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      delta_entries.push_back(e);
-    });
-    st->delta_entries_read = delta_entries.size();
-    for (const auto& e : delta_entries) overrides[e.key] = &e;
-  }
-
-  const HtapScanShared shared{&pred, &projection, &overrides};
+  const DeltaOverrides delta_side = CollectDeltaOverrides(delta, snapshot, st);
+  const ChangeChunk& visible = delta_side.visible;
+  const HtapScanShared shared{&pred, &projection, &delta_side.latest};
 
   ReadGuard table_guard(table.latch());
   const size_t ngroups = table.num_groups_unlocked();
@@ -328,25 +389,22 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
 
   // 2. The delta-override partition is its own morsel, emitted as typed
   // batches after every main group (the position the row scan has always
-  // used). Delta rows append through the schema-typed vectors; rows are in
-  // override-map iteration order, identical for serial and parallel.
+  // used). Delta rows append straight from the chunk's typed columns; rows
+  // are in override-map iteration order, identical for serial and parallel.
   const Schema& schema = table.schema();
   std::vector<ColumnBatch> delta_batches;
   ScanStats delta_st;
   auto delta_morsel = [&] {
     ColumnBatch cur;
-    for (const auto& [key, e] : overrides) {
-      if (e->op == ChangeOp::kDelete) continue;
-      if (!pred.Eval(e->row)) continue;
+    for (const auto& [key, i] : delta_side.latest) {
+      if (visible.ops[i] == ChangeOp::kDelete) continue;
+      if (!EvalTyped(pred, visible.columns, i)) continue;
       if (cur.columns.empty())
         cur = MakeBatch(schema, projection, exec.batch_rows);
-      if (projection.empty()) {
-        for (size_t c = 0; c < cur.columns.size(); ++c)
-          cur.columns[c].AppendValue(e->row.Get(c));
-      } else {
-        for (size_t c = 0; c < projection.size(); ++c)
-          cur.columns[c].AppendValue(
-              e->row.Get(static_cast<size_t>(projection[c])));
+      for (size_t c = 0; c < cur.columns.size(); ++c) {
+        const size_t src =
+            projection.empty() ? c : static_cast<size_t>(projection[c]);
+        cur.columns[c].AppendFrom(visible.columns[src], i);
       }
       ++delta_st.delta_rows_emitted;
       if (exec.batch_rows != 0 && cur.rows() >= exec.batch_rows) {
@@ -409,77 +467,6 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Flat open-addressing index from a 64-bit hash to a uint32_t payload —
-/// the one hash table behind the join's partition tables and the
-/// aggregation's group tables. Power-of-two slot array, linear probing,
-/// load factor at most 1/2. The home slot is the top bits of a Fibonacci
-/// multiply, so hashes sharing their low bits (every row of one radix
-/// partition does) still spread over the whole array. Several slots may
-/// hold the same hash; callers tell their payloads apart through the
-/// `match` callback.
-class FlatIndex {
- public:
-  static constexpr uint32_t kNone = 0xffffffffu;
-
-  /// The first payload stored under `hash`, or kNone.
-  uint32_t Find(uint64_t hash) const {
-    if (slots_.empty()) return kNone;
-    for (size_t s = Home(hash);; s = (s + 1) & mask_) {
-      const Slot& slot = slots_[s];
-      if (slot.payload == kNone) return kNone;
-      if (slot.hash == hash) return slot.payload;
-    }
-  }
-
-  /// The first payload stored under `hash` that satisfies `match`; on a
-  /// miss stores make() under `hash` and returns it. make() must not return
-  /// kNone.
-  template <typename Match, typename Make>
-  uint32_t FindOrInsert(uint64_t hash, const Match& match, const Make& make) {
-    if (2 * (size_ + 1) > slots_.size()) Grow();
-    size_t s = Home(hash);
-    for (;; s = (s + 1) & mask_) {
-      const Slot& slot = slots_[s];
-      if (slot.payload == kNone) break;
-      if (slot.hash == hash && match(slot.payload)) return slot.payload;
-    }
-    const uint32_t payload = make();
-    slots_[s] = Slot{hash, payload};
-    ++size_;
-    return payload;
-  }
-
- private:
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t payload = kNone;
-  };
-
-  size_t Home(uint64_t hash) const {
-    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> shift_);
-  }
-
-  /// Doubles the slot array (16 slots at first) and re-homes every entry.
-  void Grow() {
-    const size_t cap = slots_.empty() ? 16 : 2 * slots_.size();
-    std::vector<Slot> old(cap);
-    old.swap(slots_);
-    mask_ = cap - 1;
-    shift_ = 64 - std::countr_zero(cap);
-    for (const Slot& slot : old) {
-      if (slot.payload == kNone) continue;
-      size_t s = Home(slot.hash);
-      while (slots_[s].payload != kNone) s = (s + 1) & mask_;
-      slots_[s] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  int shift_ = 64;
-};
 
 /// Hash table over one radix partition of the build side: a FlatIndex from
 /// each distinct (masked) hash to the head of a chain of build rows. Chains
@@ -1580,30 +1567,11 @@ bool CellEqualsValue(const ColumnVector& cv, size_t i, const Value& key) {
   return false;
 }
 
-/// Equal to cv.GetValue(i).Compare(v) for a non-NULL cell and a non-NULL
-/// value, without boxing the cell.
-int CompareCellToValue(const ColumnVector& cv, size_t i, const Value& v) {
-  const auto three_way = [](auto a, auto b) { return a < b ? -1 : (a > b); };
-  switch (cv.type()) {
-    case Type::kInt64:
-      if (v.is_string()) return -1;  // numbers sort before strings
-      if (v.is_int64()) return three_way(cv.GetInt64(i), v.AsInt64());
-      return three_way(static_cast<double>(cv.GetInt64(i)), v.AsDouble());
-    case Type::kDouble:
-      if (v.is_string()) return -1;
-      return three_way(cv.GetDouble(i), v.AsDouble());
-    case Type::kString: {
-      if (!v.is_string()) return 1;
-      const int c = cv.GetString(i).compare(v.AsString());
-      return c < 0 ? -1 : (c > 0);
-    }
-  }
-  return 0;
-}
 
 /// One aggregate's running state in one group. COUNT uses `count`; SUM uses
-/// `sum` and `any`; AVG all three. `count` counts every absorbed row, NULL
-/// cells included. MIN/MAX keep their extreme in GroupTable::extremes_.
+/// `sum` and `any`; AVG all three. `count` counts the non-NULL cells (every
+/// row for COUNT(*)), so AVG divides by the non-NULL count, as SQL does.
+/// MIN/MAX keep their extreme in GroupTable::extremes_.
 struct AggState {
   int64_t count = 0;
   double sum = 0;
@@ -1800,11 +1768,13 @@ class GroupTable {
   void Update(uint32_t g, size_t a, const Value& v) {
     AggState& s = State(g, a);
     switch (aggs_[a].fn) {
-      case AggSpec::Fn::kCount: ++s.count; return;
+      case AggSpec::Fn::kCount:
+        if (!v.is_null()) ++s.count;
+        return;
       case AggSpec::Fn::kSum:
       case AggSpec::Fn::kAvg:
-        ++s.count;
         if (v.is_null()) return;
+        ++s.count;
         s.any = true;
         if (v.is_int64() || v.is_double()) s.sum += v.AsDouble();
         return;
@@ -1822,16 +1792,23 @@ class GroupTable {
     const size_t naggs = aggs_.size();
     AggState* states = states_.data() + a;
     size_t k = 0;
-    if (spec.fn == AggSpec::Fn::kCount) {
-      for (uint32_t g : gids_) ++states[g * naggs].count;
-      return;
-    }
     if (spec.column < 0) {
+      if (spec.fn == AggSpec::Fn::kCount) {  // COUNT(*): every row
+        for (uint32_t g : gids_) ++states[g * naggs].count;
+        return;
+      }
       const Value one(int64_t{1});
       batch.ForEachActive([&](size_t) { Update(gids_[k++], a, one); });
       return;
     }
     const ColumnVector& cv = batch.columns[static_cast<size_t>(spec.column)];
+    if (spec.fn == AggSpec::Fn::kCount) {  // COUNT(col): non-NULL cells
+      batch.ForEachActive([&](size_t i) {
+        const uint32_t g = gids_[k++];
+        if (!cv.IsNull(i)) ++states[g * naggs].count;
+      });
+      return;
+    }
     if (spec.fn == AggSpec::Fn::kMin || spec.fn == AggSpec::Fn::kMax) {
       const bool is_min = spec.fn == AggSpec::Fn::kMin;
       batch.ForEachActive([&](size_t i) {
@@ -1851,8 +1828,8 @@ class GroupTable {
     const auto fold = [&](const auto& cell) {
       batch.ForEachActive([&](size_t i) {
         AggState& s = states[gids_[k++] * naggs];
-        ++s.count;
         if (cv.IsNull(i)) return;
+        ++s.count;
         s.any = true;
         s.sum += cell(i);
       });

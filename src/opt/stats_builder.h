@@ -11,11 +11,11 @@
 #ifndef HTAP_OPT_STATS_BUILDER_H_
 #define HTAP_OPT_STATS_BUILDER_H_
 
-#include <set>
+#include <string>
 #include <vector>
 
 #include "columnar/column_table.h"
-#include "delta/delta.h"
+#include "delta/change_chunk.h"
 #include "opt/optimizer.h"
 #include "types/row.h"
 #include "types/schema.h"
@@ -40,12 +40,15 @@ class KmvSketch {
 
  private:
   size_t k_;
-  std::set<uint64_t> mins_;  // the k smallest distinct hashes seen
+  std::vector<uint64_t> mins_;  // the k smallest distinct hashes, ascending
 };
 
 /// Accumulates per-column min/max, NDV, null-fraction, and width statistics
-/// incrementally from sync-applied delta entries, with a full-recompute
-/// escape hatch for delete drift. The builder does NOT track the live row
+/// incrementally from sync-merged change chunks, with a full-recompute
+/// escape hatch for delete drift. Every fold is typed and column at a time:
+/// hashes come from HashInt64/HashDouble/HashString (equal to Value::Hash),
+/// and min/max are kept unboxed until Snapshot. The result is bit-identical
+/// to folding each upserted row's Values in commit order. The builder does NOT track the live row
 /// count — an upsert cannot be classified insert-vs-update from the delta
 /// alone — so publishers pass the authoritative count (e.g.
 /// ColumnTable::live_rows()) to Snapshot().
@@ -54,22 +57,21 @@ class KmvSketch {
 /// per-table merge mutex).
 class TableStatsBuilder {
  public:
-  explicit TableStatsBuilder(size_t num_columns,
+  explicit TableStatsBuilder(const Schema& schema,
                              size_t kmv_k = KmvSketch::kDefaultK);
 
-  /// Widens min/max and feeds the NDV sketches for every upserted row;
-  /// counts deletes toward deletes_since_recompute().
-  void ApplyEntries(const std::vector<DeltaEntry>& entries);
+  /// Widens min/max and feeds the NDV sketches for every upserted entry of
+  /// the chunk; counts its deletes toward deletes_since_recompute().
+  void AddChunk(const ChangeChunk& chunk);
 
-  /// Accumulates one live row.
-  void AddRow(const Row& row);
-
-  /// Full recompute from the column table's live rows (takes the table's
-  /// shared latch). Resets the delete-drift counter.
+  /// Full recompute from the column table's live rows, decoded segment by
+  /// segment (takes the table's shared latch). Resets the delete-drift
+  /// counter.
   void RecomputeFromColumnTable(const ColumnTable& table);
 
-  /// Full recompute from materialized rows (the rebuild-sync path).
-  void RecomputeFromRows(const std::vector<Row>& rows);
+  /// Full recompute from whole columns, every slot live (the rebuild-sync
+  /// path).
+  void RecomputeFromColumns(const std::vector<ColumnVector>& columns);
 
   /// Deletes applied since the last full recompute — the caller's
   /// compaction / recompute trigger.
@@ -81,8 +83,11 @@ class TableStatsBuilder {
 
  private:
   struct ColumnAcc {
-    Value min, max;
+    Type type = Type::kInt64;
     bool has_bounds = false;
+    int64_t imin = 0, imax = 0;  // kInt64 bounds
+    double dmin = 0, dmax = 0;   // kDouble bounds
+    std::string smin, smax;      // kString bounds
     KmvSketch sketch;
     size_t values = 0;  // non-null values accumulated
     size_t nulls = 0;
@@ -90,6 +95,10 @@ class TableStatsBuilder {
   };
 
   void Reset();
+  /// Folds the slots `sel` of `col` (every slot when sel is null) into
+  /// column c's accumulator, in order.
+  void FoldColumn(size_t c, const ColumnVector& col,
+                  const std::vector<uint32_t>* sel);
 
   size_t kmv_k_;
   std::vector<ColumnAcc> cols_;

@@ -1,6 +1,8 @@
 #include "sync/sync.h"
 
-#include <unordered_map>
+#include <algorithm>
+
+#include "common/flat_index.h"
 
 namespace htap {
 
@@ -47,52 +49,63 @@ DataSynchronizer::DataSynchronizer(ColumnTable* table,
       primary_(primary),
       clock_(clock) {}
 
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
+void MergeChunkIntoColumnTable(ColumnTable* table, ChangeChunk chunk,
                                CSN up_to) {
-  // Fold the batch: last write per key wins; deletes drop pending upserts.
-  std::vector<Row> to_append;
-  std::vector<bool> dead;  // parallel to to_append
-  std::unordered_map<Key, size_t> pos;
+  // Fold on the key vector: one slot per upserted key in first-appearance
+  // order, holding the chunk position of its latest upsert; a delete kills
+  // the slot until a later upsert revives it. The key itself is the index
+  // hash, so a hash match is always the same key.
+  const size_t n = chunk.size();
+  FlatIndex slots;
+  std::vector<uint32_t> latest;  // per slot
+  std::vector<uint8_t> dead;     // per slot
   std::vector<Key> deletes;
-
-  for (const DeltaEntry& e : entries) {
-    switch (e.op) {
-      case ChangeOp::kInsert:
-      case ChangeOp::kUpdate: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) {
-          to_append[it->second] = e.row;
-          dead[it->second] = false;
-        } else {
-          pos[e.key] = to_append.size();
-          to_append.push_back(e.row);
-          dead.push_back(false);
-        }
-        break;
-      }
-      case ChangeOp::kDelete: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) dead[it->second] = true;
-        deletes.push_back(e.key);
-        break;
-      }
+  for (size_t i = 0; i < n; ++i) {
+    const auto key = static_cast<uint64_t>(chunk.keys[i]);
+    const auto pos = static_cast<uint32_t>(i);
+    if (chunk.ops[i] == ChangeOp::kDelete) {
+      const uint32_t s = slots.Find(key);
+      if (s != FlatIndex::kNone) dead[s] = 1;
+      deletes.push_back(chunk.keys[i]);
+      continue;
+    }
+    const auto fresh = static_cast<uint32_t>(latest.size());
+    const uint32_t s = slots.FindOrInsert(
+        key, [](uint32_t) { return true; }, [fresh] { return fresh; });
+    if (s == fresh) {
+      latest.push_back(pos);
+      dead.push_back(0);
+    } else {
+      latest[s] = pos;
+      dead[s] = 0;
     }
   }
 
   for (Key k : deletes) table->DeleteKey(k, 0);
-  std::vector<Row> batch;
-  batch.reserve(to_append.size());
-  for (size_t i = 0; i < to_append.size(); ++i)
-    if (!dead[i]) batch.push_back(std::move(to_append[i]));
-  table->AppendBatch(batch, up_to);
+
+  std::vector<uint32_t> keep;
+  keep.reserve(latest.size());
+  for (size_t s = 0; s < latest.size(); ++s)
+    if (!dead[s]) keep.push_back(latest[s]);
+  if (keep.size() == n) {
+    // Every entry survives in place (distinct keys, no deletes).
+    table->AppendColumns(std::move(chunk.columns), up_to);
+    return;
+  }
+  std::vector<ColumnVector> cols;
+  cols.reserve(chunk.columns.size());
+  for (const ColumnVector& src : chunk.columns) {
+    ColumnVector dst(src.type());
+    dst.AppendGather(src, keep);
+    cols.push_back(std::move(dst));
+  }
+  table->AppendColumns(std::move(cols), up_to);
 }
 
 void DataSynchronizer::EnableStatsMaintenance(
     StatsPublishFn publish, size_t compact_delete_threshold) {
   MutexLock lk(&mu_);
-  stats_builder_ =
-      std::make_unique<TableStatsBuilder>(table_->schema().num_columns());
+  stats_builder_ = std::make_unique<TableStatsBuilder>(table_->schema());
   publish_stats_ = std::move(publish);
   compact_delete_threshold_ = compact_delete_threshold;
 }
@@ -105,30 +118,40 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   if (strategy_ == SyncStrategy::kRebuild) {
     if (primary_ == nullptr)
       return Status::Internal("rebuild synchronizer has no primary store");
-    // Full repopulation from a row-store snapshot.
-    std::vector<Row> rows;
-    rows.reserve(primary_->ApproxRowCount());
+    // Full repopulation from a row-store snapshot, unboxed straight into
+    // the typed columns.
+    const Schema& schema = table_->schema();
+    std::vector<ColumnVector> cols;
+    cols.reserve(schema.num_columns());
+    const size_t approx = primary_->ApproxRowCount();
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      cols.emplace_back(schema.column(c).type);
+      cols.back().Reserve(approx);
+    }
+    size_t rows = 0;
     const Snapshot snap{target_csn, 0};
     primary_->Scan(snap, [&](Key, const Row& r) {
-      rows.push_back(r);
+      for (size_t c = 0; c < cols.size(); ++c) cols[c].AppendValue(r.Get(c));
+      ++rows;
       return true;
     });
-    table_->Clear();
-    table_->AppendBatch(rows, target_csn);
-    stats_.rows_loaded += rows.size();
-    if (stats_builder_ != nullptr) {
+    if (stats_builder_ != nullptr)
       // A rebuild already holds the full live row set — recompute exactly.
-      stats_builder_->RecomputeFromRows(rows);
-      publish_stats_(stats_builder_->Snapshot(rows.size()), target_csn);
-    }
+      stats_builder_->RecomputeFromColumns(cols);
+    table_->Clear();
+    table_->AppendColumns(std::move(cols), target_csn);
+    stats_.rows_loaded += rows;
+    if (stats_builder_ != nullptr)
+      publish_stats_(stats_builder_->Snapshot(rows), target_csn);
   } else {
     if (source_ == nullptr)
       return Status::Internal("merge synchronizer has no delta source");
-    const std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
-    ApplyEntriesToColumnTable(table_, entries, target_csn);
-    stats_.entries_merged += entries.size();
+    ChangeChunk chunk = source_->DrainUpTo(target_csn);
+    stats_.entries_merged += chunk.size();
+    // The stats fold reads the chunk before the merge moves its columns.
+    if (stats_builder_ != nullptr) stats_builder_->AddChunk(chunk);
+    MergeChunkIntoColumnTable(table_, std::move(chunk), target_csn);
     if (stats_builder_ != nullptr) {
-      stats_builder_->ApplyEntries(entries);
       if (stats_builder_->deletes_since_recompute() >
           compact_delete_threshold_) {
         // Delete drift: the sketches only widen, so compact away the dead

@@ -36,7 +36,7 @@ namespace htap {
 class DeltaSource {
  public:
   virtual ~DeltaSource() = default;
-  virtual std::vector<DeltaEntry> DrainUpTo(CSN csn) = 0;
+  virtual ChangeChunk DrainUpTo(CSN csn) = 0;
   virtual size_t PendingEntries() const = 0;
 };
 
@@ -44,7 +44,7 @@ template <typename DeltaT>
 class DeltaSourceAdapter : public DeltaSource {
  public:
   explicit DeltaSourceAdapter(DeltaT* delta) : delta_(delta) {}
-  std::vector<DeltaEntry> DrainUpTo(CSN csn) override {
+  ChangeChunk DrainUpTo(CSN csn) override {
     return delta_->DrainUpTo(csn);
   }
   size_t PendingEntries() const override { return delta_->EntryCount(); }
@@ -124,7 +124,7 @@ class DataSynchronizer {
   }
 
   /// Statistics maintenance (DESIGN.md §10): after every merge the
-  /// synchronizer folds the applied entries into an incremental
+  /// synchronizer folds the drained chunk into an incremental
   /// TableStatsBuilder and calls `publish` with a fresh TableStats snapshot
   /// and the CSN it reflects (engines route this to Catalog::PublishStats).
   /// Deletes only accumulate drift in the incremental sketches, so once
@@ -150,11 +150,14 @@ class DataSynchronizer {
   mutable Mutex mu_{LockRank::kSyncMerge, "sync-merge"};  // one merge at a time
 };
 
-/// Applies a batch of delta entries (commit order) to a column table and
-/// advances merged_csn to `up_to`. Shared by all merge paths, including the
-/// learner replica apply loop.
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
+/// Merges a drained chunk (commit order) into a column table and advances
+/// merged_csn to `up_to`. The chunk is folded on its key vector — the last
+/// upsert per key wins, a delete cancels the upserts before it — the
+/// deleted keys are delete-marked first, and the surviving positions are
+/// gathered column by column into one new row group (in first-appearance
+/// order of their keys). The one merge path: every synchronizer, the
+/// learner replica apply loop and architecture (c)'s IMCS use it.
+void MergeChunkIntoColumnTable(ColumnTable* table, ChangeChunk chunk,
                                CSN up_to);
 
 /// Periodic background sync driver: wakes every `interval`, syncs to the

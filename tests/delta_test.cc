@@ -22,6 +22,12 @@ DeltaEntry E(ChangeOp op, Key k, int64_t v, CSN csn) {
   return e;
 }
 
+std::vector<DeltaEntry> Entries(const ChangeChunk& chunk) {
+  std::vector<DeltaEntry> out;
+  for (size_t i = 0; i < chunk.size(); ++i) out.push_back(chunk.EntryAt(i));
+  return out;
+}
+
 std::vector<DeltaEntry> Collect(const DeltaReader& r, CSN snap) {
   std::vector<DeltaEntry> out;
   r.ScanVisible(snap, [&](const DeltaEntry& e) { out.push_back(e); });
@@ -38,13 +44,13 @@ class DeltaContractTest : public ::testing::TestWithParam<DeltaKind> {
   void SetUp() override {
     switch (GetParam()) {
       case DeltaKind::kInMemory:
-        mem_ = std::make_unique<InMemoryDeltaStore>();
+        mem_ = std::make_unique<InMemoryDeltaStore>(TestSchema());
         break;
       case DeltaKind::kL1L2:
         l1l2_ = std::make_unique<L1L2DeltaStore>(TestSchema(), 4);
         break;
       case DeltaKind::kLog:
-        log_ = std::make_unique<LogDeltaStore>();
+        log_ = std::make_unique<LogDeltaStore>(TestSchema());
         break;
     }
   }
@@ -62,9 +68,9 @@ class DeltaContractTest : public ::testing::TestWithParam<DeltaKind> {
   }
 
   std::vector<DeltaEntry> Drain(CSN csn) {
-    if (mem_) return mem_->DrainUpTo(csn);
-    if (l1l2_) return l1l2_->DrainUpTo(csn);
-    return log_->DrainUpTo(csn);
+    if (mem_) return Entries(mem_->DrainUpTo(csn));
+    if (l1l2_) return Entries(l1l2_->DrainUpTo(csn));
+    return Entries(log_->DrainUpTo(csn));
   }
 
   std::unique_ptr<InMemoryDeltaStore> mem_;
@@ -104,6 +110,23 @@ TEST_P(DeltaContractTest, DeletesCarryNoRow) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].op, ChangeOp::kDelete);
   EXPECT_TRUE(entries[0].row.empty());
+}
+
+TEST_P(DeltaContractTest, VisibleChunkMatchesScanVisible) {
+  for (CSN c = 1; c <= 12; ++c)
+    Append(E(c % 4 == 0 ? ChangeOp::kDelete : ChangeOp::kUpdate,
+             static_cast<Key>(c % 5), static_cast<int64_t>(c), c));
+  for (CSN snap : {CSN{0}, CSN{5}, CSN{12}, CSN{100}}) {
+    const ChangeChunk chunk = reader()->VisibleChunk(snap);
+    const auto boxed = Collect(*reader(), snap);
+    ASSERT_EQ(chunk.size(), boxed.size()) << "snapshot " << snap;
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      EXPECT_EQ(chunk.ops[i], boxed[i].op);
+      EXPECT_EQ(chunk.keys[i], boxed[i].key);
+      EXPECT_EQ(chunk.csns[i], boxed[i].csn);
+      EXPECT_EQ(chunk.RowAt(i), boxed[i].row);
+    }
+  }
 }
 
 TEST_P(DeltaContractTest, DrainRemovesOnlyOldEntries) {
@@ -164,7 +187,7 @@ TEST(L1L2DeltaTest, DeletesInColumnarL2RoundTrip) {
 }
 
 TEST(LogDeltaTest, FilesAreEncodedAndCounted) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   std::vector<DeltaEntry> batch;
   for (CSN c = 1; c <= 5; ++c)
     batch.push_back(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
@@ -178,7 +201,7 @@ TEST(LogDeltaTest, FilesAreEncodedAndCounted) {
 }
 
 TEST(LogDeltaTest, KeyIndexFindsLatestEntry) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   d.AppendFile({E(ChangeOp::kInsert, 42, 1, 1)});
   d.AppendFile({E(ChangeOp::kUpdate, 42, 2, 2)});
   DeltaEntry out;
@@ -189,7 +212,7 @@ TEST(LogDeltaTest, KeyIndexFindsLatestEntry) {
 }
 
 TEST(LogDeltaTest, DrainDropsWholeFilesOnly) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   d.AppendFile({E(ChangeOp::kInsert, 1, 1, 1), E(ChangeOp::kInsert, 2, 2, 2)});
   d.AppendFile({E(ChangeOp::kInsert, 3, 3, 3), E(ChangeOp::kInsert, 4, 4, 4)});
   // CSN 3 falls inside file 2: only file 1 (max csn 2) is drained.
@@ -201,8 +224,69 @@ TEST(LogDeltaTest, DrainDropsWholeFilesOnly) {
   EXPECT_FALSE(d.LookupLatest(1, &out));  // merged-away index entry is stale
 }
 
+TEST(InMemoryDeltaTest, DrainCutsMidChunkAndKeepsTypedSuffix) {
+  const Schema schema({{"id", Type::kInt64},
+                       {"d", Type::kDouble},
+                       {"s", Type::kString}});
+  InMemoryDeltaStore d(schema);
+  for (CSN c = 1; c <= 6; ++c) {
+    DeltaEntry e;
+    e.op = ChangeOp::kInsert;
+    e.key = static_cast<Key>(c);
+    e.csn = c;
+    // Odd CSNs carry NULL double/string cells.
+    e.row = c % 2 ? Row{Value(e.key), Value(), Value()}
+                  : Row{Value(e.key), Value(c * 0.5), Value(std::to_string(c) + "s")};
+    d.Append(e);
+  }
+  const ChangeChunk head = d.DrainUpTo(4);
+  ASSERT_EQ(head.size(), 4u);
+  EXPECT_EQ(head.csns.back(), 4u);
+  EXPECT_TRUE(head.columns[1].IsNull(2));
+  EXPECT_EQ(head.columns[2].GetString(3), "4s");
+  EXPECT_EQ(d.EntryCount(), 2u);
+  const ChangeChunk rest = d.VisibleChunk(kMaxCSN - 1);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_TRUE(rest.columns[1].IsNull(0));    // csn 5
+  EXPECT_FALSE(rest.columns[1].IsNull(1));   // csn 6
+  EXPECT_DOUBLE_EQ(rest.columns[1].GetDouble(1), 3.0);
+  // Appends after a cut land behind the suffix with fresh null bits.
+  DeltaEntry e;
+  e.op = ChangeOp::kUpdate;
+  e.key = 7;
+  e.csn = 7;
+  e.row = Row{Value(int64_t{7}), Value(7.5), Value("x")};
+  d.Append(e);
+  const ChangeChunk all = d.DrainUpTo(kMaxCSN - 1);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_FALSE(all.columns[2].IsNull(2));
+  EXPECT_EQ(all.columns[2].GetString(2), "x");
+  EXPECT_EQ(d.EntryCount(), 0u);
+  EXPECT_EQ(d.DrainUpTo(kMaxCSN - 1).size(), 0u);  // empty drain
+}
+
+TEST(EventRouterTest, GroupsEventsByTableInCommitOrder) {
+  std::vector<ChangeEvent> evs(6);
+  const uint32_t tables[] = {3, 1, 3, 2, 1, 3};
+  for (size_t i = 0; i < evs.size(); ++i) {
+    evs[i].table_id = tables[i];
+    evs[i].key = static_cast<Key>(i);
+  }
+  EventRouter router;
+  std::vector<std::pair<uint32_t, std::vector<Key>>> runs;
+  router.Route(evs, [&](uint32_t tid, TableEvents run) {
+    std::vector<Key> keys;
+    for (const ChangeEvent* ev : run) keys.push_back(ev->key);
+    runs.emplace_back(tid, keys);
+  });
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[0], (std::pair<uint32_t, std::vector<Key>>{1, {1, 4}}));
+  EXPECT_EQ(runs[1], (std::pair<uint32_t, std::vector<Key>>{2, {3}}));
+  EXPECT_EQ(runs[2], (std::pair<uint32_t, std::vector<Key>>{3, {0, 2, 5}}));
+}
+
 TEST(InMemoryDeltaTest, MemoryAccountingShrinksOnDrain) {
-  InMemoryDeltaStore d;
+  InMemoryDeltaStore d(TestSchema());
   for (CSN c = 1; c <= 100; ++c)
     d.Append(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
   const size_t before = d.MemoryBytes();

@@ -206,8 +206,8 @@ TEST(TableStatsBuilderTest, IncrementalMatchesBatchCompute) {
   const auto rows = UniformRows(1000);
   const auto batch = TableStats::Compute(TestSchema(), rows);
 
-  TableStatsBuilder builder(3);
-  for (const Row& r : rows) builder.AddRow(r);
+  TableStatsBuilder builder(TestSchema());
+  builder.RecomputeFromColumns(ColumnsFromRows(TestSchema(), rows));
   const TableStats inc = builder.Snapshot(rows.size());
 
   EXPECT_EQ(inc.row_count, batch.row_count);
@@ -220,20 +220,12 @@ TEST(TableStatsBuilderTest, IncrementalMatchesBatchCompute) {
 }
 
 TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
-  TableStatsBuilder builder(3);
-  std::vector<DeltaEntry> entries;
-  for (int64_t i = 0; i < 10; ++i) {
-    DeltaEntry e;
-    e.op = ChangeOp::kInsert;
-    e.key = i;
-    e.row = Row{Value(i), Value(i % 3), Value("x")};
-    entries.push_back(std::move(e));
-  }
-  DeltaEntry del;
-  del.op = ChangeOp::kDelete;
-  del.key = 3;
-  entries.push_back(std::move(del));
-  builder.ApplyEntries(entries);
+  TableStatsBuilder builder(TestSchema());
+  ChangeChunk chunk(TestSchema());
+  for (int64_t i = 0; i < 10; ++i)
+    chunk.Append(ChangeOp::kInsert, i, 1, Row{Value(i), Value(i % 3), Value("x")});
+  chunk.Append(ChangeOp::kDelete, 3, 2, Row());
+  builder.AddChunk(chunk);
 
   EXPECT_EQ(builder.deletes_since_recompute(), 1u);
   // Deletes cannot shrink incremental estimates: bounds still span all
@@ -242,8 +234,8 @@ TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
   EXPECT_EQ(st.columns[0].min.AsInt64(), 0);
   EXPECT_EQ(st.columns[0].max.AsInt64(), 9);
 
-  builder.RecomputeFromRows({Row{Value(int64_t{5}), Value(int64_t{1}),
-                                 Value("y")}});
+  builder.RecomputeFromColumns(ColumnsFromRows(
+      TestSchema(), {Row{Value(int64_t{5}), Value(int64_t{1}), Value("y")}}));
   EXPECT_EQ(builder.deletes_since_recompute(), 0u);
   const TableStats st2 = builder.Snapshot(1);
   EXPECT_EQ(st2.columns[0].min.AsInt64(), 5);

@@ -318,5 +318,30 @@ TEST_F(SqlBinderTest, DeleteAllThenCountIsZero) {
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 0);
 }
 
+// SQL aggregate semantics over NULL cells: COUNT(col) skips them and AVG
+// divides by the non-NULL count. Checked both before the merge (the rows
+// come from the delta) and after it (from the column store).
+TEST(SqlAggregateTest, AvgCountSumSkipNullCells) {
+  DatabaseOptions opts;
+  opts.background_sync = false;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(
+      db->ExecuteSql("CREATE TABLE t (id INT64 PRIMARY KEY, x INT64)").ok());
+  ASSERT_TRUE(
+      db->ExecuteSql("INSERT INTO t VALUES (1, 10), (2, NULL), (3, 20)").ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    auto res = db->ExecuteSql(
+        "SELECT AVG(x), COUNT(x), SUM(x), COUNT(*) FROM t");
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_EQ(res->rows.size(), 1u);
+    const Row& r = res->rows[0];
+    EXPECT_DOUBLE_EQ(r.Get(0).AsDouble(), 15.0) << "pass " << pass;
+    EXPECT_EQ(r.Get(1).AsInt64(), 2) << "pass " << pass;
+    EXPECT_DOUBLE_EQ(r.Get(2).AsDouble(), 30.0) << "pass " << pass;
+    EXPECT_EQ(r.Get(3).AsInt64(), 3) << "pass " << pass;
+    ASSERT_TRUE(db->ForceSyncAll().ok());
+  }
+}
+
 }  // namespace
 }  // namespace htap

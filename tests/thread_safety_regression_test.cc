@@ -48,7 +48,7 @@ Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
   TransactionManager mgr;
   MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
-  auto delta = std::make_unique<InMemoryDeltaStore>();
+  auto delta = std::make_unique<InMemoryDeltaStore>(KvSchema());
   InMemoryDeltaStore* delta_ptr = delta.get();
   ColumnTable table(KvSchema());
   DataSynchronizer sync(
@@ -56,8 +56,9 @@ TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
       std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta_ptr));
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
+    EventRouter route;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      route.Route(evs, [&](uint32_t, TableEvents run) { d->AppendEvents(run); });
     }
   } router;
   router.d = delta_ptr;

@@ -203,7 +203,8 @@ TEST(BatchTest, FilterBatchMatchesPredicateEval) {
 // carrying updates, a delete, and inserts — the full HTAP union shape.
 class VectorizedScanTest : public ::testing::Test {
  protected:
-  VectorizedScanTest() : table_(TestSchema()), pool_(4, "vec-ap") {
+  VectorizedScanTest()
+      : table_(TestSchema()), delta_(TestSchema()), pool_(4, "vec-ap") {
     std::vector<Row> batch;
     for (Key id = 0; id < 512; ++id) {
       batch.push_back(TRow(id, id % 13, id % 2 ? "odd" : "even", id * 0.25));
@@ -390,9 +391,9 @@ std::vector<std::string> SortedImages(const std::vector<Row>& rows) {
 
 /// Plain-loop reference for HashAggregate, independent of its hashing:
 /// groups keyed in a std::map by Value ordering (NULL keys form one group).
-/// It mirrors the engine's present aggregate semantics: COUNT counts every
-/// row of the group, NULL cells included, and AVG divides the sum of the
-/// non-NULL numeric cells by that count.
+/// SQL semantics: COUNT(*) counts every row of the group, COUNT(col) its
+/// non-NULL cells, and AVG divides the sum of the non-NULL numeric cells by
+/// the number of non-NULL cells.
 std::vector<Row> ReferenceAggregate(const std::vector<Row>& rows,
                                     const std::vector<int>& group_cols,
                                     const std::vector<AggSpec>& aggs) {
@@ -410,10 +411,13 @@ std::vector<Row> ReferenceAggregate(const std::vector<Row>& rows,
     accs.resize(aggs.size());
     for (size_t a = 0; a < aggs.size(); ++a) {
       Acc& acc = accs[a];
-      ++acc.count;
-      if (aggs[a].column < 0) continue;
+      if (aggs[a].column < 0) {
+        ++acc.count;
+        continue;
+      }
       const Value& v = r.Get(static_cast<size_t>(aggs[a].column));
       if (v.is_null()) continue;
+      ++acc.count;
       if (!v.is_string()) acc.sum += v.AsDouble();
       if (!acc.any || v < acc.min) acc.min = v;
       if (!acc.any || acc.max < v) acc.max = v;
